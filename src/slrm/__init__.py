@@ -14,8 +14,8 @@ from .baseline import (ApgConfig, hessian_operator, lipschitz_estimate,
 from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
                   lam_stages, local_search, rank_estimate, recover_y, solve,
                   solve_homotopy, structured_rank)
-from .linalg import (LinearOperator, SparseMatrix, dense_svd, spmv, spmv_t,
-                     top_eigenvalue, top_singular_pair, unvec, vec)
+from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_eigenvalue,
+                     top_singular_pair, unvec, vec)
 from .objective import (FactorPair, LineSearchInputs, PenaltyProblem,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
                         grad_f, line_search_theta, phi_value, psi_value)

@@ -9,13 +9,15 @@ budget it doubles as the reference optimum for tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
-from .gcg import DivergedError, SolveTrace, TraceRecord, lam_stages, rank_estimate
-from .linalg import LinearOperator, dense_svd, spmv, spmv_t, top_eigenvalue, unvec, vec
-from .objective import PenaltyProblem, smooth_terms
+from .gcg import (DivergedError, SolveTrace, TraceRecord, _continuation,
+                  rank_estimate)
+from .linalg import dense_svd, spmv, top_eigenvalue, unvec, vec
+from .objective import PenaltyProblem, _grad_vec, _hess_vec, smooth_terms
 from .structure import apply_structure
 
 
@@ -53,15 +55,21 @@ def hessian_operator(prob: PenaltyProblem) -> LinearOperator:
     """Symmetric PSD map x -> AC^T AC x + lam B^T B x on vec space."""
 
     def apply(x):
-        out = spmv_t(prob.AC, spmv(prob.AC, x))
-        if prob.B.n_rows:
-            out = out + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
-        return out
+        return _hess_vec(prob, x)
 
-    return LinearOperator((prob.size, prob.size), apply, apply)
+    return LinearOperator((prob.size, prob.size), matvec=apply, rmatvec=apply,
+                          dtype=float)
 
 
 def lipschitz_estimate(prob: PenaltyProblem, config: ApgConfig | None = None):
+    """Step-size bound L >= lambda_max of the Hessian, for the FISTA step 1/L.
+
+    Power iteration approaches lambda_max from below and can spend its
+    whole budget short of it: on the scs 31x31 Hessian it stops after 500
+    steps at 3.99181 against 3.99239.  An L below lambda_max makes 1/L too
+    long a step, so the estimate is scaled up by ``lipschitz_safety``
+    whether or not the iteration converged.
+    """
     if config is None:
         config = ApgConfig()
     est = top_eigenvalue(hessian_operator(prob), tol=config.power_tol,
@@ -71,9 +79,7 @@ def lipschitz_estimate(prob: PenaltyProblem, config: ApgConfig | None = None):
 
 def svt(x, tau):
     """Proximal map of tau * nuclear norm: soft-threshold the singular values."""
-    u, s, vt = dense_svd(np.asarray(x, dtype=float))
-    shrunk = np.maximum(s - tau, 0.0)
-    return (u * shrunk) @ vt
+    return _svt_with_values(x, tau)[0]
 
 
 def _svt_with_values(x, tau):
@@ -110,10 +116,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     trace.converged_reason = "max_iter"
 
     for k in range(1, config.max_iter + 1):
-        yv = vec(y)
-        grad = spmv_t(prob.AC, spmv(prob.AC, yv) - prob.target)
-        if prob.B.n_rows:
-            grad = grad + prob.lam * spmv_t(prob.B, spmv(prob.B, yv))
+        grad = _grad_vec(prob, vec(y))
         x_new, s_vals = _svt_with_values(y - step * unvec(grad, prob.rows, prob.cols), tau)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x_prev)
@@ -169,11 +172,4 @@ def solve_apg_homotopy(prob: PenaltyProblem, config: ApgConfig | None = None,
     """
     if config is None:
         config = ApgConfig()
-    x, trace = init, None
-    total = 0.0
-    for lam in lam_stages(prob.lam, config.lam_growth, config.lam_max):
-        stage = replace(prob, lam=lam) if lam != prob.lam else prob
-        x, trace = solve_apg(stage, config, init=x)
-        total += trace.wall_time_s
-    trace.wall_time_s = total
-    return x, trace
+    return _continuation(solve_apg, prob, config, init)

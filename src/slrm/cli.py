@@ -13,19 +13,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import apps
-from .baseline import ApgConfig, solve_apg, solve_apg_homotopy
-from .gcg import (DivergedError, GcgConfig, SolveTrace, rank_estimate,
-                  recover_y, solve, solve_homotopy, structured_rank)
-from .linalg import dense_operator, top_singular_pair, unvec, vec
-from .objective import (FactorPair, assemble, f_value, grad_f, phi_value,
-                        psi_value, line_search_theta)
+from .baseline import ApgConfig, solve_apg_homotopy
+from .gcg import (DivergedError, GcgConfig, SolveTrace, recover_y, solve,
+                  solve_homotopy)
+from .linalg import top_singular_pair, unvec, vec
+from .objective import FactorPair, assemble, f_value, grad_f
 from .structure import (apply_structure, block_hankel_spec, build_B, build_C,
-                        hankel_spec, read_parameters, two_fold_hankel_spec)
+                        hankel_spec, two_fold_hankel_spec)
 
 SOLVERS = ("gcg", "gcgls", "apg-svt")
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import dense_operator, spmv, spmv_t, top_singular_pair, unvec, vec
-from .objective import (FactorPair, PenaltyProblem, factor_svd, grad_f,
+from .linalg import spmv, spmv_t, top_singular_pair, unvec, vec
+from .objective import (FactorPair, PenaltyProblem, _hess_vec,
+                        factor_nuclear_norm, factor_svd, grad_f,
                         line_search_theta, phi_value, psi_value, smooth_terms)
 from .structure import apply_structure
 
@@ -173,14 +174,6 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
-def _hess_x(prob: PenaltyProblem, x):
-    # (AC^T AC + lam B^T B) x on vec space
-    out = spmv_t(prob.AC, spmv(prob.AC, x))
-    if prob.B.n_rows:
-        out = out + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
-    return out
-
-
 def _block_cg(apply_mat, rhs, x0, max_iter, tol=1e-10):
     """CG for an SPD block system, warm started at the current block.
 
@@ -234,7 +227,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
         for side in ("u", "v"):
             if side == "u":
                 def apply_mat(ub, _v=v):
-                    w = _hess_x(prob, vec(ub @ _v))
+                    w = _hess_vec(prob, vec(ub @ _v))
                     return unvec(w, m, n) @ _v.T + prob.mu * ub
 
                 rhs = rhs_full @ v.T
@@ -243,7 +236,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
                     u = _block_cg(apply_mat, rhs, u, cg_iters)
             else:
                 def apply_mat(vb, _u=u):
-                    w = _hess_x(prob, vec(_u @ vb))
+                    w = _hess_vec(prob, vec(_u @ vb))
                     return _u.T @ unvec(w, m, n) + prob.mu * vb
 
                 rhs = u.T @ rhs_full
@@ -310,8 +303,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors)
-        pair = top_singular_pair(dense_operator(g, scale=-1.0),
-                                 tol=config.lanczos_tol,
+        pair = top_singular_pair(-g, tol=config.lanczos_tol,
                                  max_iter=config.lanczos_max_iter,
                                  seed=_iteration_seed(config.seed, k))
         sigma_top = pair.sigma
@@ -350,7 +342,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
 
         x = vec(cand.product())
         f_smooth, sqloss, _ = smooth_terms(prob, x)
-        phi = f_smooth + prob.mu * _nuclear_from(cand)
+        phi = f_smooth + prob.mu * factor_nuclear_norm(cand)
         if not np.isfinite(phi) or not np.isfinite(psi_cand):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
@@ -406,15 +398,17 @@ def solve_homotopy(prob: PenaltyProblem, config: GcgConfig | None = None,
     """
     if config is None:
         config = GcgConfig()
-    factors, trace = init, None
+    return _continuation(solve, prob, config, init)
+
+
+def _continuation(solve_fn, prob: PenaltyProblem, config, init):
+    # One solve_fn(stage, config, init=...) per lam_stages weight, each warm
+    # started from the last; the terminal trace's wall_time_s covers all.
+    result, trace = init, None
     total = 0.0
     for lam in lam_stages(prob.lam, config.lam_growth, config.lam_max):
         stage = replace(prob, lam=lam) if lam != prob.lam else prob
-        factors, trace = solve(stage, config, init=factors)
+        result, trace = solve_fn(stage, config, init=result)
         total += trace.wall_time_s
     trace.wall_time_s = total
-    return factors, trace
-
-
-def _nuclear_from(factors: FactorPair):
-    return float(factor_svd(factors)[1].sum())
+    return result, trace

@@ -1,4 +1,4 @@
-"""Sparse matrices, linear operators, and iterative spectral routines.
+"""Sparse matrices, operator views, and iterative spectral routines.
 
 Everything here is deterministic given an integer seed; the solvers rely on
 that for reproducible traces.
@@ -6,11 +6,13 @@ that for reproducible traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                 aslinearoperator, svds)
 
 
 def vec(x):
@@ -131,36 +133,11 @@ def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
 
 
-class LinearOperator:
-    """Matrix-free linear map with an explicit adjoint."""
-
-    def __init__(self, shape, apply_fn, adjoint_fn):
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._apply = apply_fn
-        self._adjoint = adjoint_fn
-
-    def apply(self, x):
-        return self._apply(np.asarray(x, dtype=float))
-
-    def apply_adjoint(self, y):
-        return self._adjoint(np.asarray(y, dtype=float))
-
-
-def dense_operator(a, scale=1.0):
-    a = np.asarray(a, dtype=float)
-    return LinearOperator(a.shape, lambda x: scale * (a @ x), lambda y: scale * (a.T @ y))
-
-
-def sparse_operator(a: SparseMatrix):
-    return LinearOperator(a.shape, lambda x: spmv(a, x), lambda y: spmv_t(a, y))
-
-
 def as_operator(a):
-    if isinstance(a, LinearOperator):
-        return a
+    """Scipy ``LinearOperator`` view of an ndarray, SparseMatrix or operator."""
     if isinstance(a, SparseMatrix):
-        return sparse_operator(a)
-    return dense_operator(a)
+        a = a.to_scipy()
+    return aslinearoperator(a)
 
 
 def dense_svd(a):
@@ -187,170 +164,56 @@ class TopSingularPair:
 
 def _random_unit(rng, n):
     v = rng.standard_normal(n)
-    nv = np.linalg.norm(v)
-    while nv == 0.0:
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-    return v / nv
+    return v / np.linalg.norm(v)
 
 
-def _orth_against(p, basis):
-    # two rounds of classical Gram-Schmidt; enough for full reorthogonalization
-    if basis.shape[1]:
-        p = p - basis @ (basis.T @ p)
-        p = p - basis @ (basis.T @ p)
-    return p
+def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
+    """Leading singular triplet of an operator, by ARPACK ``svds(k=1)``.
 
-
-def _bidiag_top(alphas, betas):
-    k = len(alphas)
-    bk = np.zeros((k, k))
-    bk[np.arange(k), np.arange(k)] = alphas
-    if k > 1:
-        bk[np.arange(k - 1), np.arange(1, k)] = betas[: k - 1]
-    ub, s, vbt = np.linalg.svd(bk)
-    return s[0], ub[:, 0], vbt[0]
-
-
-def _bidiag_top_rect(alphas, betas):
-    # k x (k+1) factor arising when A v_{k+1} = beta_k u_k exactly
-    k = len(alphas)
-    bk = np.zeros((k, k + 1))
-    bk[np.arange(k), np.arange(k)] = alphas
-    bk[np.arange(k), np.arange(1, k + 1)] = betas[:k]
-    ub, s, vbt = np.linalg.svd(bk, full_matrices=False)
-    return s[0], ub[:, 0], vbt[0]
-
-
-def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0, restart_dim=48):
-    """Leading singular triplet of a linear operator.
-
-    Golub-Kahan bidiagonalization with full reorthogonalization, restarted
-    from the current Ritz vector when the subspace hits ``restart_dim``.
-    Residual targets: ``|A v - sigma u| <= tol * sigma`` and symmetrically
-    for the adjoint.  Deterministic for a fixed seed.
-
-    Parameters
-    ----------
-    a : LinearOperator, SparseMatrix or ndarray
-    tol : float
-        Relative residual tolerance.
-    max_iter : int
-        Total bidiagonalization steps across restarts.
-    seed : int
-        Seed for the random start vector.
-
-    Returns
-    -------
-    TopSingularPair
-        ``converged`` is False when the step budget ran out; ``degenerate``
-        marks a (numerically) zero operator, in which case ``sigma`` is 0 and
-        the vectors are arbitrary unit vectors.
+    ``tol`` and ``max_iter`` are svds's ``tol`` and ``maxiter``.  The start
+    vector is drawn from ``seed``, so the result is deterministic, and
+    ``iterations`` counts products with the operator or its adjoint.  When
+    the budget runs out, ``converged`` is False and ``sigma`` is the norm of
+    the first product, with the unit start vector: a lower bound.  A zero
+    operator gives ``degenerate``, ``sigma`` 0 and arbitrary unit vectors.
     """
-    op = as_operator(a)
-    m, n = op.shape
+    a = as_operator(a)
+    m, n = a.shape
     if m <= 0 or n <= 0:
         raise ValueError("operator must have positive dimensions")
-    rng = np.random.default_rng(seed)
-    dim_cap = max(2, min(restart_dim, min(m, n)))
-    eps_rel = 1e-14
+    products = 0
 
-    steps = 0
-    scale = 0.0
-    start_v = _random_unit(rng, n)
-    fresh_draws = 0
-    best = TopSingularPair(0.0, np.zeros(m), start_v, converged=False)
+    def counted(apply):
+        def run(x):
+            nonlocal products
+            products += 1
+            return apply(x)
+        return run
 
-    def finish(sigma, u, v, converged, degenerate=False):
-        return TopSingularPair(float(sigma), u, v, converged, degenerate, steps)
-
-    while steps < max_iter:
-        u_basis = np.zeros((m, dim_cap))
-        v_basis = np.zeros((n, dim_cap))
-        alphas: list[float] = []
-        betas: list[float] = []
-        v = start_v
-        v_basis[:, 0] = v
-        k = 0
-        ritz = None
-        invariant = False
-        left_exhausted = False
-
-        while k < dim_cap and steps < max_iter:
-            p = op.apply(v)
-            if k > 0:
-                p = p - betas[-1] * u_basis[:, k - 1]
-            p = _orth_against(p, u_basis[:, :k])
-            alpha = float(np.linalg.norm(p))
-            scale = max(scale, alpha)
-            if alpha <= scale * eps_rel or alpha == 0.0:
-                invariant = True
-                left_exhausted = k > 0
-                break
-            u_basis[:, k] = p / alpha
-            alphas.append(alpha)
-
-            r = op.apply_adjoint(u_basis[:, k])
-            r = r - alpha * v
-            r = _orth_against(r, v_basis[:, : k + 1])
-            beta = float(np.linalg.norm(r))
-            betas.append(beta)
-            steps += 1
-            k += 1
-
-            sigma, ub, vb = _bidiag_top(alphas, betas)
-            ritz = (sigma, ub, vb, k)
-            # exact GK relation: the only residual lives in the trailing beta
-            if beta * abs(ub[-1]) <= tol * sigma or k == min(m, n):
-                u_r = u_basis[:, :k] @ ub
-                v_r = v_basis[:, :k] @ vb
-                u_r /= np.linalg.norm(u_r)
-                v_r /= np.linalg.norm(v_r)
-                r1 = np.linalg.norm(op.apply(v_r) - sigma * u_r)
-                r2 = np.linalg.norm(op.apply_adjoint(u_r) - sigma * v_r)
-                steps += 1
-                thr = max(tol * sigma, 64 * np.finfo(float).eps * scale)
-                if max(r1, r2) <= thr:
-                    return finish(sigma, u_r, v_r, True)
-            if beta <= scale * eps_rel:
-                invariant = True
-                break
-            v = r / beta
-            if k < dim_cap:
-                v_basis[:, k] = v
-
-        if k == 0:
-            # operator annihilated the start vector
-            if invariant and scale == 0.0:
-                fresh_draws += 1
-                if fresh_draws >= 3:
-                    u0 = np.zeros(m)
-                    u0[0] = 1.0
-                    return finish(0.0, u0, start_v, True, degenerate=True)
-                start_v = _random_unit(rng, n)
-                continue
-            break
-
-        if left_exhausted:
-            # A v_{k+1} fell inside span(U_k): the right subspace grew by one
-            # but the left did not, so the exact restriction is rectangular
-            sigma, ub, vb = _bidiag_top_rect(alphas, betas)
-            kk = len(alphas)
-            u_r = u_basis[:, :kk] @ ub
-            v_r = v_basis[:, : kk + 1] @ vb
+    op = LinearOperator(a.shape, matvec=counted(a.matvec),
+                        rmatvec=counted(a.rmatvec), dtype=float)
+    # svds starts on the shorter side.  One product there detects the zero
+    # operator, on which ARPACK fails, and solves a single row or column,
+    # which svds rejects (it needs k < min(m, n)).
+    left = m < n
+    start = _random_unit(np.random.default_rng(seed), min(m, n))
+    w = op.rmatvec(start) if left else op.matvec(start)
+    sigma = float(np.linalg.norm(w))
+    degenerate = sigma == 0.0
+    converged = True
+    if not degenerate and min(m, n) > 1:
+        try:
+            u, s, vt = svds(op, k=1, tol=tol, maxiter=max_iter, v0=start,
+                            solver="arpack")
+        except ArpackNoConvergence:
+            converged = False
         else:
-            sigma, ub, vb, kk = ritz
-            u_r = u_basis[:, :kk] @ ub
-            v_r = v_basis[:, :kk] @ vb
-        u_r /= np.linalg.norm(u_r)
-        v_r /= np.linalg.norm(v_r)
-        if invariant:
-            # Krylov space is invariant, Ritz triplet is exact up to roundoff
-            return finish(sigma, u_r, v_r, True, degenerate=(sigma <= scale * eps_rel))
-        best = finish(sigma, u_r, v_r, False)
-        start_v = v_r
-
-    return best
+            return TopSingularPair(float(s[0]), u[:, 0], vt[0], converged=True,
+                                   iterations=products)
+    other = np.eye(1, max(m, n))[0] if degenerate else w / sigma
+    u, v = (start, other) if left else (other, start)
+    return TopSingularPair(sigma, u, v, converged, degenerate=degenerate,
+                           iterations=products)
 
 
 @dataclass
@@ -378,7 +241,7 @@ def top_eigenvalue(a, tol=1e-8, max_iter=500, seed=0):
     v = _random_unit(rng, n)
     lam = 0.0
     for it in range(1, max_iter + 1):
-        w = op.apply(v)
+        w = op.matvec(v)
         lam = float(v @ w)
         res = float(np.linalg.norm(w - lam * v))
         nw = float(np.linalg.norm(w))

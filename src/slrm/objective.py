@@ -133,18 +133,29 @@ def f_value(prob: PenaltyProblem, x):
     return smooth_terms(prob, x)[0]
 
 
+def _grad_vec(prob: PenaltyProblem, x):
+    # AC^T (AC x - b) + lam B^T B x on vec space
+    g = spmv_t(prob.AC, spmv(prob.AC, x) - prob.target)
+    if prob.B.n_rows:
+        g = g + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
+    return g
+
+
+def _hess_vec(prob: PenaltyProblem, x):
+    # (AC^T AC + lam B^T B) x on vec space
+    out = spmv_t(prob.AC, spmv(prob.AC, x))
+    if prob.B.n_rows:
+        out = out + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
+    return out
+
+
 def grad_f(prob: PenaltyProblem, factors: FactorPair):
     """Dense M x N gradient of f at X = U @ V.
 
     Cost is O(M N r) for the product plus the sparse work; the result is
     dense because the top-singular-pair subproblem consumes it directly.
     """
-    x = vec(factors.product())
-    resid = spmv(prob.AC, x) - prob.target
-    g = spmv_t(prob.AC, resid)
-    if prob.B.n_rows:
-        g = g + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
-    return unvec(g, prob.rows, prob.cols)
+    return unvec(_grad_vec(prob, vec(factors.product())), prob.rows, prob.cols)
 
 
 def factor_svd(factors: FactorPair):

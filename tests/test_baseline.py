@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.sparse.linalg import eigsh
 
+from slrm import apps
 from slrm.baseline import (ApgConfig, hessian_operator, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
 from slrm.gcg import DivergedError, GcgConfig, solve
-from slrm.linalg import vec
+from slrm.linalg import top_eigenvalue, vec
 from slrm.objective import smooth_terms
 
 from conftest import random_hankel_problem
@@ -56,7 +58,7 @@ def test_hessian_operator_matches_dense(rng):
     bm = prob.B.to_dense()
     dense = ac.T @ ac + prob.lam * bm.T @ bm
     x = rng.standard_normal(prob.size)
-    np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
+    np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
 
 
 def test_lipschitz_estimate_bounds_top_eigenvalue(rng):
@@ -67,6 +69,17 @@ def test_lipschitz_estimate_bounds_top_eigenvalue(rng):
     est = lipschitz_estimate(prob)
     assert est >= top * (1.0 - 1e-6)          # safety factor keeps it above
     assert est <= top * 1.05 * (1.0 + 1e-6)
+
+    # scs 31x31 (lift 36x676): the power iteration spends its whole budget
+    # below lambda_max, and only the safety factor lifts the estimate above
+    cfg = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4,
+                         snr=10.0, seed=3)
+    prob = apps.scs_problem(cfg, apps.scs_generate(cfg), mu=0.1)
+    top = float(eigsh(hessian_operator(prob), k=1, return_eigenvectors=False)[0])
+    power = top_eigenvalue(hessian_operator(prob), seed=ApgConfig().seed)
+    assert not power.converged and power.value < top
+    est = lipschitz_estimate(prob)
+    assert top <= est <= top * 1.05
 
 
 def test_apg_descends_and_is_deterministic(rng):
