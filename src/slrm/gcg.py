@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import spmv, spmv_t, top_singular_pair, unvec, vec
+from .linalg import spmv, top_singular_pair, unvec, vec
 from .objective import (FactorPair, PenaltyProblem, _hess_vec,
                         factor_nuclear_norm, factor_svd, grad_f,
                         line_search_theta, phi_value, psi_value, smooth_terms)
@@ -219,7 +219,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
     if budget <= 0 or factors.rank == 0:
         return (factors, history) if return_history else factors
     m, n = factors.shape
-    rhs_full = unvec(spmv_t(prob.AC, prob.target), m, n)  # mat(AC^T b)
+    rhs_full = prob.adjoint_target  # mat(AC^T b)
     gtol2 = (1e-10 * max(1.0, abs(psi_cur))) ** 2
 
     for _ in range(budget):

@@ -35,6 +35,10 @@ class SparseMatrix:
     Invariants: ``row_offsets`` is non-decreasing with ``row_offsets[0] == 0``
     and ``row_offsets[-1] == len(values)``; column indices are strictly
     increasing within each row; all values are finite.
+
+    Immutable once built: the scipy CSR form, its adjoint view and the Gram
+    matrix ``A^T A`` are each built on first use and cached, so changing the
+    arrays afterwards would leave those stale.
     """
 
     n_rows: int
@@ -63,10 +67,12 @@ class SparseMatrix:
         if self.col_indices.size:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-            # strict increase inside every row; boundaries may reset
+            # strict increase inside every row; boundaries may reset.  Empty
+            # rows put offsets at 0 or nnz, which bound no adjacent pair.
             inc = np.diff(self.col_indices) <= 0
             inner = np.ones(self.col_indices.size - 1, dtype=bool)
-            inner[self.row_offsets[1:-1] - 1] = False
+            cuts = self.row_offsets[1:-1]
+            inner[cuts[(cuts > 0) & (cuts < self.values.size)] - 1] = False
             if np.any(inc & inner):
                 raise ValueError("column indices must strictly increase within a row")
         if not np.all(np.isfinite(self.values)):
@@ -86,6 +92,17 @@ class SparseMatrix:
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
         )
+
+    @cached_property
+    def _adjoint(self):
+        # CSC view sharing the CSR arrays; converting it to CSR is slower on
+        # the large scs lifts, so spmv_t keeps the view.
+        return self._csr.T
+
+    @cached_property
+    def gram(self) -> SparseMatrix:
+        """``A^T A`` as a CSR SparseMatrix, built on first use."""
+        return SparseMatrix.from_scipy(self._adjoint @ self._csr)
 
     @classmethod
     def from_scipy(cls, a):
@@ -123,8 +140,8 @@ def spmv(a: SparseMatrix, x):
 
 
 def spmv_t(a: SparseMatrix, y):
-    """Adjoint product ``a.T @ y``."""
-    return a.to_scipy().T @ np.asarray(y, dtype=float)
+    """Adjoint product ``a.T @ y``, through the matrix's cached CSC view."""
+    return a._adjoint @ np.asarray(y, dtype=float)
 
 
 def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

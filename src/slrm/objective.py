@@ -10,6 +10,7 @@ tau = (|U|_F^2 + |V|_F^2) / 2 >= |X|_*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,14 @@ class PenaltyProblem:
     def size(self):
         return self.rows * self.cols
 
+    @cached_property
+    def adjoint_target(self):
+        """mat(AC^T b), read-only; built on first use and shared by every
+        local search on this problem."""
+        out = unvec(spmv_t(self.AC, self.target), self.rows, self.cols)
+        out.flags.writeable = False
+        return out
+
 
 def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam, mu,
              recovery: RecoveryMode = RecoveryMode.PROJECTION) -> PenaltyProblem:
@@ -134,10 +143,10 @@ def f_value(prob: PenaltyProblem, x):
 
 
 def _grad_vec(prob: PenaltyProblem, x):
-    # AC^T (AC x - b) + lam B^T B x on vec space
+    # AC^T (AC x - b) + lam B^T B x on vec space, B^T B from B's cached Gram
     g = spmv_t(prob.AC, spmv(prob.AC, x) - prob.target)
     if prob.B.n_rows:
-        g = g + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
+        g = g + prob.lam * spmv(prob.B.gram, x)
     return g
 
 
@@ -145,7 +154,7 @@ def _hess_vec(prob: PenaltyProblem, x):
     # (AC^T AC + lam B^T B) x on vec space
     out = spmv_t(prob.AC, spmv(prob.AC, x))
     if prob.B.n_rows:
-        out = out + prob.lam * spmv_t(prob.B, spmv(prob.B, x))
+        out = out + prob.lam * spmv(prob.B.gram, x)
     return out
 
 

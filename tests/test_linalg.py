@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slrm.linalg import (SparseMatrix, as_operator, dense_svd, sparse_matmul,
                          spmv, spmv_t, top_eigenvalue, top_singular_pair,
                          unvec, vec)
+from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
 
 def test_vec_is_column_major():
@@ -42,6 +43,17 @@ def test_sparse_matrix_validation():
         SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 1.0])    # not strictly increasing
     with pytest.raises(ValueError):
         SparseMatrix(1, 2, [0, 1], [0], [np.inf])
+    with pytest.raises(ValueError):                        # after an empty row
+        SparseMatrix(2, 3, [0, 0, 2], [2, 1], [1.0, 1.0])
+
+
+def test_sparse_matrix_accepts_empty_rows():
+    # leading, inner and trailing empty rows put offsets at 0 and at nnz
+    dense = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 0.0],
+                      [4.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(SparseMatrix.from_dense(dense).to_dense(), dense)
+    np.testing.assert_array_equal(SparseMatrix.from_dense(dense[1:4]).to_dense(),
+                                  dense[1:4])
 
 
 def test_spmv_matches_scipy(rng):
@@ -54,6 +66,44 @@ def test_spmv_matches_scipy(rng):
     op = as_operator(a)
     np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-13)
     np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 9), (1, 6), (6, 1)])
+def test_spmv_t_is_the_scipy_adjoint_bitwise(rng, shape):
+    # bit equality with scipy's own CSC view keeps solver traces identical
+    dense = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+    dense[rng.integers(shape[0]), :] = 0.0      # an empty row
+    dense[:, rng.integers(shape[1])] = 0.0      # an empty column
+    a = SparseMatrix.from_dense(dense)
+    y = rng.standard_normal(shape[0])
+    np.testing.assert_array_equal(spmv_t(a, y), a.to_scipy().T @ y)
+    np.testing.assert_allclose(spmv_t(a, y), dense.T @ y, atol=1e-13)
+    first = a._adjoint
+    spmv_t(a, y)
+    assert a._adjoint is first and a.gram is a.gram
+
+
+@pytest.mark.parametrize("spec", [block_hankel_spec(2, 2, 6, 8),       # ssr-desk
+                                  two_fold_hankel_spec(31, 31, 6, 6)])  # scs-31
+def test_gram_matches_the_b_pair(rng, spec):
+    b = build_B(spec)
+    gram = b.gram
+    assert gram.shape == (b.n_cols, b.n_cols)
+    ref = (b.to_scipy().T @ b.to_scipy()).tocsr()
+    assert abs(gram.to_scipy() - ref).max() <= 1e-12 * abs(ref).max()
+    if b.n_cols <= 1000:  # scs-31's dense Gram would need 4.7 GB
+        dense = b.to_dense()
+        np.testing.assert_allclose(gram.to_dense(), dense.T @ dense,
+                                   rtol=0, atol=1e-12 * np.abs(dense).max() ** 2)
+    for _ in range(3):
+        x = rng.standard_normal(b.n_cols)
+        pair = spmv_t(b, spmv(b, x))
+        assert np.linalg.norm(spmv(gram, x) - pair) <= 1e-12 * np.linalg.norm(pair)
+
+
+def test_gram_of_a_matrix_without_rows():
+    empty = SparseMatrix(0, 5, [0], [], [])
+    np.testing.assert_array_equal(empty.gram.to_dense(), np.zeros((5, 5)))
 
 
 def test_sparse_matmul(rng):

@@ -1,12 +1,15 @@
 """Penalized objective: factored values, gradients, and the atom line search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slrm.apps import _selection_matrix
-from slrm.linalg import vec
-from slrm.objective import (FactorPair, PenaltyProblem, assemble, f_value,
+from slrm.linalg import SparseMatrix, vec
+from slrm.objective import (FactorPair, PenaltyProblem, _grad_vec, _hess_vec,
+                            assemble, f_value,
                             factor_nuclear_norm, factor_svd, grad_f,
                             line_search_inputs, line_search_theta, phi_value,
                             psi_value, smooth_terms)
@@ -114,6 +117,33 @@ def test_grad_matches_finite_differences(rng):
         xm = x0.copy(); xm[i] -= h
         num[i] = (f_value(prob, xp) - f_value(prob, xm)) / (2 * h)
     assert np.linalg.norm(num - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3, 100.0, "no B rows"])
+def test_grad_and_hess_vec_match_dense(rng, lam):
+    # the Gram-based products against H = AC^T AC + lam B^T B formed densely
+    prob = random_hankel_problem(rng, j=3, k=4, lam=1.3, frac=0.6)
+    if lam == "no B rows":
+        prob = replace(prob, B=SparseMatrix(0, prob.size, [0], [], []))
+    else:
+        prob = replace(prob, lam=lam)
+    ac = prob.AC.to_dense()
+    bm = prob.B.to_dense()
+    hess = ac.T @ ac + prob.lam * bm.T @ bm
+    x = rng.standard_normal(prob.size)
+    scale = np.linalg.norm(hess @ x) + np.linalg.norm(ac.T @ prob.target)
+    np.testing.assert_allclose(_hess_vec(prob, x), hess @ x, rtol=0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(_grad_vec(prob, x), hess @ x - ac.T @ prob.target,
+                               rtol=0, atol=1e-12 * scale)
+
+
+def test_adjoint_target_is_cached_and_read_only(rng):
+    prob = random_hankel_problem(rng, j=3, k=4)
+    rhs = prob.adjoint_target
+    ac = prob.AC.to_dense()
+    np.testing.assert_allclose(vec(rhs), ac.T @ prob.target, atol=1e-13)
+    assert prob.adjoint_target is rhs and not rhs.flags.writeable
 
 
 def test_psi_and_phi_relationship(rng):
