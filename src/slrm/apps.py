@@ -18,9 +18,8 @@ import scipy.linalg
 
 from .linalg import SparseMatrix, vec
 from .objective import FactorPair, PenaltyProblem, assemble, smooth_terms
-from .gcg import rank_estimate
-from .structure import (StructureSpec, apply_structure, block_hankel_spec,
-                        two_fold_hankel_spec)
+from .gcg import structured_rank_of
+from .structure import StructureSpec, block_hankel_spec, two_fold_hankel_spec
 
 # substream ids
 _STREAM_SYSTEM = 0
@@ -219,8 +218,7 @@ def recovery_metrics(y_true, y_hat, factors: FactorPair, spec: StructureSpec,
     if y_hat.size != spec.n_params:
         raise ValueError("recovered parameter count does not match the structure")
     err = float(np.linalg.norm(y_hat - y_true) / np.linalg.norm(y_true))
-    h = apply_structure(spec, vec(y_hat) if y_hat.ndim == 2 else y_hat)
-    rank = rank_estimate(np.linalg.svd(h, compute_uv=False))
+    rank = structured_rank_of(spec, vec(y_hat) if y_hat.ndim == 2 else y_hat)
     out = {"normalized_error": err, "structured_rank": rank}
     if prob is not None:
         _, sqloss, _ = smooth_terms(prob, vec(factors.product()))

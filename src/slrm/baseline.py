@@ -1,9 +1,11 @@
 """Accelerated proximal gradient baseline with singular value thresholding.
 
 Solves the same penalized objective as the conditional-gradient solver but
-keeps a dense iterate and performs one full SVD per iteration, which is the
-cost profile the factored solver is meant to avoid.  With a long iteration
-budget it doubles as the reference optimum for tests.
+keeps a dense iterate and computes all of its singular values every
+iteration, which is the cost profile the factored solver is meant to avoid.
+The thresholding works on the k x k core of a QR factorization of the short
+side (k = min(M, N)), so no right singular vectors are formed.  With a long
+iteration budget it doubles as the reference optimum for tests.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .gcg import (DivergedError, SolveTrace, TraceRecord, _continuation,
-                  rank_estimate)
-from .linalg import dense_svd, spmv, top_eigenvalue, unvec, vec
+                  rank_estimate, structured_rank_of)
+from .linalg import _wide_core, dense_svd, spmv, top_eigenvalue, unvec, vec
 from .objective import PenaltyProblem, _grad_vec, _hess_vec, smooth_terms
-from .structure import apply_structure
 
 
 @dataclass
@@ -83,9 +84,17 @@ def svt(x, tau):
 
 
 def _svt_with_values(x, tau):
-    u, s, vt = dense_svd(x)
+    # With x = L Q^T and L = u diag(s) w^T, x = u diag(s) V^T, so
+    # V^T = diag(1/s) u^T x wherever s > 0: the right singular vectors are
+    # never formed, and singular values at or below tau drop out.
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] > x.shape[1]:
+        out, shrunk = _svt_with_values(x.T, tau)
+        return out.T, shrunk
+    u, s, _ = dense_svd(_wide_core(x))
     shrunk = np.maximum(s - tau, 0.0)
-    return (u * shrunk) @ vt, shrunk
+    scale = np.divide(shrunk, s, out=np.zeros_like(s), where=shrunk > 0.0)
+    return (u * scale) @ (u.T @ x), shrunk
 
 
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
@@ -127,9 +136,8 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
         if config.track_structured_rank:
-            h = apply_structure(prob.spec, spmv(prob.C, vec(x_new)))
-            rank = rank_estimate(np.linalg.svd(h, compute_uv=False),
-                                 config.rank_threshold)
+            rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_new)),
+                                      config.rank_threshold)
         else:
             rank = rank_estimate(s_vals, config.rank_threshold)
         dx = float(np.linalg.norm(x_new - x_prev))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import spmv, top_singular_pair, unvec, vec
+from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
 from .objective import (FactorPair, PenaltyProblem, _hess_vec,
                         factor_nuclear_norm, factor_svd, grad_f,
                         line_search_theta, phi_value, psi_value, smooth_terms)
@@ -156,8 +156,12 @@ def recover_y(prob: PenaltyProblem, factors: FactorPair):
 
 def structured_rank(prob: PenaltyProblem, factors: FactorPair, threshold=1e-3):
     """Rank of the structured matrix Q(C x) at the given threshold."""
-    h = apply_structure(prob.spec, recover_y(prob, factors))
-    return rank_estimate(np.linalg.svd(h, compute_uv=False), threshold)
+    return structured_rank_of(prob.spec, recover_y(prob, factors), threshold)
+
+
+def structured_rank_of(spec, y, threshold=1e-3):
+    """Rank of the structured matrix Q(y), from its short-side singular values."""
+    return rank_estimate(singular_values(apply_structure(spec, y)), threshold)
 
 
 def compress(factors: FactorPair, tol=1e-10):
@@ -174,15 +178,17 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
-def _block_cg(apply_mat, rhs, x0, max_iter, tol=1e-10):
+def _block_cg(apply_mat, rhs, x0, r0, max_iter, tol=1e-10):
     """CG for an SPD block system, warm started at the current block.
 
-    Started from the current factor block, every CG step decreases the
-    block quadratic, i.e. psi; stopping early therefore never breaks the
-    descent contract of the local search.
+    ``r0`` is the residual ``rhs - apply_mat(x0)``, which the caller has
+    already formed; it is updated in place.  Each step makes one operator
+    apply.  Started from the current factor block, every CG step decreases
+    the block quadratic, i.e. psi; stopping early therefore never breaks
+    the descent contract of the local search.
     """
     x = x0.copy()
-    r = rhs - apply_mat(x)
+    r = r0
     p = r.copy()
     rs = float(np.sum(r * r))
     floor = tol * max(1.0, float(np.sum(rhs * rhs)))
@@ -231,18 +237,18 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
                     return unvec(w, m, n) @ _v.T + prob.mu * ub
 
                 rhs = rhs_full @ v.T
-                grad = apply_mat(u) - rhs
-                if float(np.sum(grad * grad)) > gtol2:
-                    u = _block_cg(apply_mat, rhs, u, cg_iters)
+                res = rhs - apply_mat(u)
+                if float(np.sum(res * res)) > gtol2:
+                    u = _block_cg(apply_mat, rhs, u, res, cg_iters)
             else:
                 def apply_mat(vb, _u=u):
                     w = _hess_vec(prob, vec(_u @ vb))
                     return _u.T @ unvec(w, m, n) + prob.mu * vb
 
                 rhs = u.T @ rhs_full
-                grad = apply_mat(v) - rhs
-                if float(np.sum(grad * grad)) > gtol2:
-                    v = _block_cg(apply_mat, rhs, v, cg_iters)
+                res = rhs - apply_mat(v)
+                if float(np.sum(res * res)) > gtol2:
+                    v = _block_cg(apply_mat, rhs, v, res, cg_iters)
             history.append(psi_value(prob, FactorPair(u, v)))
         psi_cur = history[-1]
         if psi_sweep - psi_cur <= rel_floor * max(1e-30, abs(psi_cur)):
@@ -316,11 +322,12 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             shrunk = factors.scaled(np.sqrt(1.0 - eta))
             theta, _ = line_search_theta(prob, shrunk, pair.u, pair.v, eta)
             cand = _augment(shrunk, pair.u, pair.v, theta)
-            cand = local_search(prob, cand.U, cand.V,
-                                budget=config.local_search_max_steps,
-                                rel_floor=config.local_search_rel_floor,
-                                cg_iters=config.local_search_cg_iters)
-            psi_cand = psi_value(prob, cand)
+            cand, history = local_search(prob, cand.U, cand.V,
+                                         budget=config.local_search_max_steps,
+                                         rel_floor=config.local_search_rel_floor,
+                                         cg_iters=config.local_search_cg_iters,
+                                         return_history=True)
+            psi_cand = history[-1]
             if not config.enforce_monotone_psi or psi_cand <= psi_prev + PSI_SLACK:
                 accepted = (cand, psi_cand, theta)
                 break

@@ -169,6 +169,27 @@ def dense_svd(a):
     return np.linalg.svd(a, full_matrices=False)
 
 
+def _wide_core(a):
+    """k x k lower-triangular L with ``a = L Q^T``, for a with k <= N columns.
+
+    L keeps the singular values and left singular vectors of a, so spectral
+    work on a wide k x N matrix shrinks to k x k.  It is the transposed R of
+    a Householder QR of ``a^T``, which is backward stable and never forms Q.
+    Raises on non-finite input.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries in dense matrix")
+    return np.linalg.qr(a.T, mode="r").T
+
+
+def singular_values(a):
+    """All singular values of a dense matrix, descending, from its short side."""
+    a = np.asarray(a, dtype=float)
+    return np.linalg.svd(_wide_core(a if a.shape[0] <= a.shape[1] else a.T),
+                         compute_uv=False)
+
+
 @dataclass
 class TopSingularPair:
     sigma: float

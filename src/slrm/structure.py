@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,8 @@ class StructureSpec:
     ``supports[k]`` lists the column-major positions carrying parameter k,
     sorted ascending.  Positions in ``zero_positions`` are forced to zero.
     Supports and zero positions must be disjoint; each support is non-empty.
+    Immutable once built: the concatenated supports and their sizes are
+    cached on first use, so changing the support arrays would leave them stale.
     """
 
     rows: int
@@ -60,8 +63,7 @@ class StructureSpec:
                 raise ValueError(f"support {k} is empty")
             if np.any(np.diff(s) <= 0):
                 raise ValueError(f"support {k} is not sorted strictly ascending")
-        chunks = list(self.supports) + [self.zero_positions]
-        all_pos = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        all_pos = np.concatenate([self.support_positions, self.zero_positions])
         if all_pos.size:
             if all_pos.min() < 0 or all_pos.max() >= size:
                 raise ValueError("position out of range")
@@ -71,6 +73,21 @@ class StructureSpec:
     @property
     def n_params(self):
         return len(self.supports)
+
+    @cached_property
+    def support_positions(self) -> np.ndarray:
+        """Every support's positions, concatenated in parameter order (read-only)."""
+        pos = (np.concatenate(self.supports) if self.supports
+               else np.empty(0, dtype=np.int64))
+        pos.flags.writeable = False
+        return pos
+
+    @cached_property
+    def support_sizes(self) -> np.ndarray:
+        """Number of positions in each support (read-only)."""
+        sizes = np.array([s.size for s in self.supports], dtype=np.int64)
+        sizes.flags.writeable = False
+        return sizes
 
     @property
     def shape(self):
@@ -191,8 +208,8 @@ def build_C(spec: StructureSpec, mode: RecoveryMode = RecoveryMode.PROJECTION) -
     """
     size = spec.rows * spec.cols
     if mode is RecoveryMode.PROJECTION:
-        cols_idx = np.concatenate(spec.supports) if spec.supports else np.empty(0, dtype=np.int64)
-        counts = np.array([s.size for s in spec.supports], dtype=np.int64)
+        cols_idx = spec.support_positions
+        counts = spec.support_sizes
         rows_idx = np.repeat(np.arange(spec.n_params, dtype=np.int64), counts)
         vals = np.repeat(1.0 / counts, counts)
     elif mode is RecoveryMode.SPARSE:
@@ -210,9 +227,7 @@ def apply_structure(spec: StructureSpec, y) -> np.ndarray:
     if y.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {y.shape}")
     flat = np.zeros(spec.rows * spec.cols)
-    counts = np.array([s.size for s in spec.supports], dtype=np.int64)
-    if counts.size:
-        flat[np.concatenate(spec.supports)] = np.repeat(y, counts)
+    flat[spec.support_positions] = np.repeat(y, spec.support_sizes)
     return unvec(flat, spec.rows, spec.cols)
 
 
@@ -221,10 +236,9 @@ def read_parameters(spec: StructureSpec, x) -> np.ndarray:
     xf = vec(x) if np.ndim(x) == 2 else np.asarray(x, dtype=float)
     if xf.size != spec.rows * spec.cols:
         raise ValueError("size mismatch")
-    idx = np.concatenate(spec.supports)
-    counts = np.array([s.size for s in spec.supports], dtype=np.int64)
+    counts = spec.support_sizes
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sums = np.add.reduceat(xf[idx], offsets)
+    sums = np.add.reduceat(xf[spec.support_positions], offsets)
     return sums / counts
 
 

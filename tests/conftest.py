@@ -20,3 +20,17 @@ def random_hankel_problem(rng, j=None, k=None, lam=0.7, mu=0.3, frac=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def spectral_test_matrices(rng):
+    """Wide, tall, square, rank-deficient and zero matrices, by name."""
+    low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 12))
+    return {
+        "wide": rng.standard_normal((5, 40)),
+        "tall": rng.standard_normal((40, 5)),
+        "square": rng.standard_normal((6, 6)),
+        "rank_deficient_wide": low,
+        "rank_deficient_tall": low.T,
+        "zero": np.zeros((4, 9)),
+        "single_row": rng.standard_normal((1, 8)),
+    }

@@ -6,13 +6,14 @@ from dataclasses import replace
 from scipy.sparse.linalg import eigsh
 
 from slrm import apps
-from slrm.baseline import (ApgConfig, hessian_operator, lipschitz_estimate,
-                           solve_apg, solve_apg_homotopy, svt)
+from slrm.baseline import (ApgConfig, _svt_with_values, hessian_operator,
+                           lipschitz_estimate, solve_apg, solve_apg_homotopy,
+                           svt)
 from slrm.gcg import DivergedError, GcgConfig, solve
 from slrm.linalg import top_eigenvalue, vec
 from slrm.objective import smooth_terms
 
-from conftest import random_hankel_problem
+from conftest import random_hankel_problem, spectral_test_matrices
 
 
 def test_apg_config_validation():
@@ -32,6 +33,33 @@ def test_svt_on_a_diagonal_matrix():
     x = np.diag([3.0, 1.0, 0.2])
     np.testing.assert_allclose(svt(x, 0.5), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
     np.testing.assert_allclose(svt(np.zeros((2, 3)), 0.7), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("tau_share", [0.0, 0.3, 1.0, 1.5])
+def test_svt_matches_the_full_svd_reference(rng, tau_share):
+    # tau as a share of sigma_max: at 1.5 every value is thresholded away
+    for name, x in spectral_test_matrices(rng).items():
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        top = float(s[0])
+        tau = tau_share * top
+        want = (u * np.maximum(s - tau, 0.0)) @ vt
+        got, shrunk = _svt_with_values(x, tau)
+        assert got.shape == x.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * top, err_msg=name)
+        np.testing.assert_allclose(shrunk, np.maximum(s - tau, 0.0), rtol=0,
+                                   atol=1e-12 * top, err_msg=name)
+        assert np.array_equal(svt(x, tau), got), name
+        if tau_share > 1.0:
+            assert not np.any(got) and not np.any(shrunk), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+def test_svt_rejects_nonfinite(bad, shape):
+    x = np.ones(shape)
+    x[1, 2] = bad
+    with pytest.raises(ValueError):
+        svt(x, 0.1)
 
 
 def test_svt_is_the_nuclear_prox(rng):

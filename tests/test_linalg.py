@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from slrm.linalg import (SparseMatrix, as_operator, dense_svd, sparse_matmul,
-                         spmv, spmv_t, top_eigenvalue, top_singular_pair,
-                         unvec, vec)
+from slrm.linalg import (SparseMatrix, as_operator, dense_svd,
+                         singular_values, sparse_matmul, spmv, spmv_t,
+                         top_eigenvalue, top_singular_pair, unvec, vec)
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
+
+from conftest import spectral_test_matrices
 
 
 def test_vec_is_column_major():
@@ -118,6 +120,18 @@ def test_sparse_matmul(rng):
 def test_dense_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         dense_svd(np.array([[1.0, np.nan]]))
+
+
+def test_singular_values_match_the_full_svd(rng):
+    for name, a in spectral_test_matrices(rng).items():
+        want = np.linalg.svd(a, compute_uv=False)
+        got = singular_values(a)
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0],
+                                   err_msg=name)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            singular_values(np.array([[1.0, bad, 0.0], [0.0, 1.0, 2.0]]))
 
 
 @settings(max_examples=40, deadline=None)

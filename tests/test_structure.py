@@ -187,6 +187,27 @@ def test_read_parameters_matches_C(rng):
     np.testing.assert_allclose(read_parameters(spec, vec(x)), via_c, atol=1e-14)
 
 
+def test_cached_supports_are_read_only_and_match_the_loop():
+    # parameter 0 on the diagonal, 1 and 2 above it, forced zeros below
+    spec = StructureSpec(3, 3, ([0, 4, 8], [3, 7], [6]), zero_positions=[1, 2, 5])
+    pos, sizes = spec.support_positions, spec.support_sizes
+    assert spec.support_positions is pos and spec.support_sizes is sizes
+    np.testing.assert_array_equal(pos, [0, 4, 8, 3, 7, 6])
+    np.testing.assert_array_equal(sizes, [3, 2, 1])
+    for arr in (pos, sizes):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    y = np.array([2.0, -1.0, 0.5])
+    want = np.zeros(9)
+    for k, s in enumerate(spec.supports):
+        want[s] = y[k]
+    np.testing.assert_array_equal(vec(apply_structure(spec, y)), want)
+    x = np.arange(9.0).reshape(3, 3) ** 2
+    np.testing.assert_array_equal(
+        read_parameters(spec, x),
+        [np.add.reduce(vec(x)[s]) / s.size for s in spec.supports])
+
+
 def test_sparse_mode_reads_first_occurrence():
     spec = hankel_spec(2, 2)
     x = np.array([[1.0, 5.0], [2.0, 3.0]])  # not structured: 5 != 2
