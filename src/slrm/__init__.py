@@ -16,9 +16,10 @@ from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
                   solve_homotopy, structured_rank)
 from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_eigenvalue,
                      top_singular_pair, unvec, vec)
-from .objective import (FactorPair, LineSearchInputs, PenaltyProblem,
+from .objective import (FactorPair, LineSearchInputs, PenaltyProblem, StepModel,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
-                        grad_f, line_search_theta, phi_value, psi_value)
+                        grad_f, line_search_theta, phi_value, psi_value,
+                        step_model)
 from .structure import (RecoveryMode, StructureSpec, apply_structure,
                         block_hankel_spec, build_B, build_C, from_json,
                         hankel_spec, project_to_image, read_parameters,

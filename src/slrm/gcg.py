@@ -1,11 +1,12 @@
 """Conditional-gradient solver over factored low-rank iterates.
 
-Each iteration linearizes the smooth part, takes the leading singular pair
-of the negated gradient as the new rank-one atom, combines it with the
-shrunk iterate through an exact line search on an upper model, and then
-improves the factors by a few sweeps of alternating ridge solves.  Only
-descent of the surrogate objective psi is ever required of the local
-search.
+Each iteration linearizes the smooth part and takes the leading singular
+pair of the negated gradient as the new rank-one atom.  One exact step then
+picks the shrink a of the current factors and the weight theta of the atom
+together: psi is a convex quadratic in (a, theta), minimized in closed form
+over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
+improve the factors, and a thin-SVD re-balance keeps the surrogate on the
+nuclear norm.  No move raises the surrogate objective psi beyond rounding.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
 from .objective import (FactorPair, PenaltyProblem, _hess_vec,
-                        factor_nuclear_norm, factor_svd, grad_f,
-                        line_search_theta, phi_value, psi_value, smooth_terms)
+                        factor_nuclear_norm, factor_svd, grad_f, phi_value,
+                        psi_value, smooth_terms, step_model)
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
@@ -47,7 +48,7 @@ class GcgConfig:
     seed: int = 0
     track_structured_rank: bool = True   # rank column from Q(C x); else from sigma(UV)
     rank_threshold: float = 1e-3
-    recompress_every: int = 10           # 0 disables factor re-compression
+    recompress_every: int = 1            # 0 disables factor re-compression
     recompress_tol: float = 1e-10
     # Continuation (solve_homotopy only): re-solve at geometrically growing
     # structure weights lam, lam*lam_growth, ... capped at lam_max, warm
@@ -178,6 +179,19 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
+def _recompressed(prob: PenaltyProblem, factors: FactorPair, psi, tol):
+    # compress() unless psi rises past rounding; returns (factors, psi).
+    # Balanced factors sit on the nuclear norm already, where a drop of
+    # rank can go either way by rounding.
+    if factors.rank == 0 or not np.isfinite(psi):
+        return factors, psi
+    packed = compress(factors, tol)
+    psi_packed = psi_value(prob, packed)
+    if psi_packed <= psi + PSI_SLACK:
+        return packed, psi_packed
+    return factors, psi
+
+
 def _block_cg(apply_mat, rhs, x0, r0, max_iter, tol=1e-10):
     """CG for an SPD block system, warm started at the current block.
 
@@ -266,7 +280,7 @@ def _augment(shrunk: FactorPair, z_u, z_v, theta):
     else:
         u, v = shrunk.U, shrunk.V
     if u.shape[1]:
-        # eta == 1 zeroes the old block; drop exactly-zero column/row pairs
+        # a == 0 zeroes the old block; drop exactly-zero column/row pairs
         dead = np.all(u == 0.0, axis=0) & np.all(v == 0.0, axis=1)
         if np.any(dead):
             u = u[:, ~dead]
@@ -304,6 +318,9 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     psi_prev = psi_value(prob, factors)
     if not np.isfinite(psi_prev):  # checked before phi: its SVD needs finite factors
         raise DivergedError("non-finite objective at the initial point", trace)
+    if config.recompress_every:
+        factors, psi_prev = _recompressed(prob, factors, psi_prev,
+                                          config.recompress_tol)
     phi_prev = phi_value(prob, factors)
     trace.converged_reason = "max_iter"
 
@@ -313,39 +330,23 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
                                  max_iter=config.lanczos_max_iter,
                                  seed=_iteration_seed(config.seed, k))
         sigma_top = pair.sigma
-        eta_base = 2.0 / (k + 1.0)
-
-        accepted = None
-        theta = 0.0
-        for attempt in range(5):
-            eta = eta_base * 0.5 ** attempt
-            shrunk = factors.scaled(np.sqrt(1.0 - eta))
-            theta, _ = line_search_theta(prob, shrunk, pair.u, pair.v, eta)
-            cand = _augment(shrunk, pair.u, pair.v, theta)
-            cand, history = local_search(prob, cand.U, cand.V,
-                                         budget=config.local_search_max_steps,
-                                         rel_floor=config.local_search_rel_floor,
-                                         cg_iters=config.local_search_cg_iters,
-                                         return_history=True)
-            psi_cand = history[-1]
-            if not config.enforce_monotone_psi or psi_cand <= psi_prev + PSI_SLACK:
-                accepted = (cand, psi_cand, theta)
-                break
-        held = accepted is None
+        a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
+        cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
+        cand, history = local_search(prob, cand.U, cand.V,
+                                     budget=config.local_search_max_steps,
+                                     rel_floor=config.local_search_rel_floor,
+                                     cg_iters=config.local_search_cg_iters,
+                                     return_history=True)
+        psi_cand = history[-1]
+        if config.recompress_every and k % config.recompress_every == 0:
+            cand, psi_cand = _recompressed(prob, cand, psi_cand, config.recompress_tol)
+        held = config.enforce_monotone_psi and not psi_cand <= psi_prev + PSI_SLACK
         if held:
-            # every damped eta still increased psi; hold the iterate this round
-            accepted = (factors, psi_prev, 0.0)
-        cand, psi_cand, theta = accepted
+            # no move raises psi beyond rounding, so only rounding gets here
+            cand, psi_cand, theta = factors, psi_prev, 0.0
         if not np.isfinite(psi_cand):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
-
-        if (config.recompress_every and k % config.recompress_every == 0
-                and cand.rank > 0):
-            packed = compress(cand, config.recompress_tol)
-            psi_packed = psi_value(prob, packed)
-            if psi_packed <= psi_cand:
-                cand, psi_cand = packed, psi_packed
 
         x = vec(cand.product())
         f_smooth, sqloss, _ = smooth_terms(prob, x)

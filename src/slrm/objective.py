@@ -200,6 +200,92 @@ def phi_value(prob: PenaltyProblem, factors: FactorPair):
 
 
 @dataclass(frozen=True)
+class StepModel:
+    """psi of the step candidate as an exact quadratic in (a, theta).
+
+    The candidate joins the shrunk factors sqrt(a) (U, V) with the atom
+    sqrt(theta) (z_u, z_v) for unit z_u, z_v; its product is a X + theta Z
+    and its surrogate a tau + theta, so with f quadratic psi(a, theta) is a
+    convex quadratic.  It is stored as its value, gradient and Hessian at
+    the current point (a, theta) = (1, 0).
+    """
+
+    psi0: float
+    grad_a: float
+    grad_theta: float
+    h_aa: float
+    h_at: float
+    h_tt: float
+
+    def value(self, a, theta):
+        d = a - 1.0
+        return (self.psi0 + self.grad_a * d + self.grad_theta * theta
+                + 0.5 * (self.h_aa * d * d + 2.0 * self.h_at * d * theta
+                         + self.h_tt * theta * theta))
+
+    def theta_at(self, a):
+        """Best atom weight theta >= 0 at a fixed shrink a."""
+        drift = self.grad_theta + self.h_at * (a - 1.0)
+        if self.h_tt == 0.0:
+            if drift < 0.0:
+                raise UnboundedDirectionError(
+                    "psi decreases without bound along the new atom")
+            return 0.0
+        return max(0.0, -drift / self.h_tt)
+
+    def minimize(self):
+        """(a, theta, psi) minimizing the model over a in [0, 1], theta >= 0.
+
+        The best of the interior stationary point and the optima on the
+        edges theta = 0, a = 1 and a = 0.  (1, 0) lies on the box, so the
+        result never exceeds psi0.
+        """
+        if self.h_aa > 0.0:
+            d = min(0.0, max(-1.0, -self.grad_a / self.h_aa))
+        else:
+            d = -1.0 if self.grad_a > 0.0 else 0.0
+        points = [(1.0 + d, 0.0), (1.0, self.theta_at(1.0)),
+                  (0.0, self.theta_at(0.0))]
+        det = self.h_aa * self.h_tt - self.h_at * self.h_at
+        if det > 0.0:
+            d = (self.h_at * self.grad_theta - self.h_tt * self.grad_a) / det
+            theta = (self.h_at * self.grad_a - self.h_aa * self.grad_theta) / det
+            if -1.0 <= d <= 0.0 and theta >= 0.0:
+                points.append((1.0 + d, theta))
+        a, theta = min(points, key=lambda pt: self.value(*pt))
+        return a, theta, self.value(a, theta)
+
+
+def step_model(prob: PenaltyProblem, factors: FactorPair, z_u, z_v):
+    """The StepModel of ``factors`` joined by the unit atom z_u z_v^T.
+
+    Its coefficients come from AC x, AC z, B x and B z, with x = vec(U V)
+    and z = vec(z_u z_v^T).
+    """
+    x = vec(factors.product())
+    z = vec(np.outer(z_u, z_v))
+    p = spmv(prob.AC, x)
+    q = spmv(prob.AC, z)
+    resid = p - prob.target
+    f0 = 0.5 * float(resid @ resid)
+    grad_a, grad_theta = float(resid @ p), float(resid @ q)
+    h_aa, h_at, h_tt = float(p @ p), float(p @ q), float(q @ q)
+    if prob.B.n_rows:
+        s = spmv(prob.B, x)
+        t = spmv(prob.B, z)
+        ss, st = prob.lam * float(s @ s), prob.lam * float(s @ t)
+        f0 += 0.5 * ss
+        grad_a += ss
+        grad_theta += st
+        h_aa += ss
+        h_at += st
+        h_tt += prob.lam * float(t @ t)
+    tau = prob.mu * factors.surrogate()
+    return StepModel(f0 + tau, grad_a + tau, grad_theta + prob.mu,
+                     h_aa, h_at, h_tt)
+
+
+@dataclass(frozen=True)
 class LineSearchInputs:
     """Quadratic model of h along the new atom: slope and curvature at theta=0."""
 
@@ -208,18 +294,15 @@ class LineSearchInputs:
     curvature: float  # |AC vec(Z)|^2 + lam |B vec(Z)|^2
 
 
-def line_search_inputs(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
+def _check_eta(eta):
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    g = grad_f(prob, shrunk)
-    slope = float(z_u @ g @ z_v)
-    zf = vec(np.outer(z_u, z_v))
-    acz = spmv(prob.AC, zf)
-    q = float(acz @ acz)
-    if prob.B.n_rows:
-        bz = spmv(prob.B, zf)
-        q += prob.lam * float(bz @ bz)
-    return LineSearchInputs(float(eta), slope, q)
+
+
+def line_search_inputs(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
+    _check_eta(eta)
+    model = step_model(prob, shrunk, z_u, z_v)
+    return LineSearchInputs(float(eta), model.grad_theta - prob.mu, model.h_tt)
 
 
 def line_search_theta(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
@@ -227,19 +310,10 @@ def line_search_theta(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
 
     ``shrunk`` must already be scaled by sqrt(1 - eta).  h(theta) is the
     smooth part at (1-eta)X + theta Z plus mu times the shrunk surrogate
-    plus mu*theta; since f is quadratic the minimizer is closed form.
-    Returns (theta, h(theta)).
+    plus mu*theta: the a = 1 slice of the shrunk factors' StepModel, which
+    is closed form since f is quadratic.  Returns (theta, h(theta)).
     """
-    inp = line_search_inputs(prob, shrunk, z_u, z_v, eta)
-    drift = inp.slope + prob.mu
-    if inp.curvature == 0.0:
-        if drift < 0.0:
-            raise UnboundedDirectionError(
-                "h decreases without bound along the new atom")
-        theta = 0.0
-    else:
-        theta = max(0.0, -drift / inp.curvature)
-    f_shrunk = f_value(prob, vec(shrunk.product()))
-    h_min = (f_shrunk + theta * drift + 0.5 * theta * theta * inp.curvature
-             + prob.mu * shrunk.surrogate())
-    return theta, h_min
+    _check_eta(eta)
+    model = step_model(prob, shrunk, z_u, z_v)
+    theta = model.theta_at(1.0)
+    return theta, model.value(1.0, theta)

@@ -263,23 +263,26 @@ def test_surrogate_objective_never_increases(capsys, desk):
              f"max psi increase {worst:.1e} over {psi.size} iterations")
 
 
-def test_suboptimality_rate_trend(capsys, desk, reference_phi):
-    ks = desk.trace.column("iteration").astype(int)
+@pytest.fixture(scope="module")
+def desk_long(desk):
+    # the desk problem with stopping off, so the run fills both windows
+    cfg = GcgConfig(seed=desk.cfg.seed, max_iter=60, tol_obj=1e-300, tol_x=1e-300)
+    t0 = time.perf_counter()
+    _, trace = solve_homotopy(desk.prob, cfg)
+    return SimpleNamespace(trace=trace, wall=time.perf_counter() - t0)
+
+
+def test_suboptimality_rate_trend(capsys, desk_long, reference_phi):
+    ks = desk_long.trace.column("iteration").astype(int)
     scaled = {int(k): (float(p) - reference_phi) * (k + 1)
-              for k, p in zip(ks, desk.trace.column("phi"))}
+              for k, p in zip(ks, desk_long.trace.column("phi"))}
     late = [v for k, v in scaled.items() if 10 <= k <= 100]
     early = [v for k, v in scaled.items() if 10 <= k <= 20]
-    if not late:
-        # Converged before iteration 10: nothing to bound, which is the
-        # strongest form of the decay the check is after.
-        _note(capsys, "09 rate trend",
-              f"run stopped after {ks.size} iterations, windows empty")
-        _verdict(capsys, "09 rate trend", True,
-                 "vacuous, run converged before the measurement window")
-        return
-    ok = max(late) <= 3.0 * max(early)
+    ok = bool(early) and max(late) <= 3.0 * max(early)
+    detail = (f"max scaled gap {max(late):.3e} vs early-window {max(early):.3e}"
+              if early else "no iteration in the 10-20 window")
     _verdict(capsys, "09 rate trend", ok,
-             f"max scaled gap {max(late):.3e} vs early-window {max(early):.3e}")
+             f"{detail}, {ks.size} iterations in {desk_long.wall:.2f}s")
 
 
 def test_rank_trajectory_recovers_order(capsys, desk):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from slrm.gcg import (CSV_HEADER, DivergedError, GcgConfig, SolveTrace,
-                      TraceRecord, _block_cg, _frob_dist, compress, lam_stages,
-                      local_search, rank_estimate, recover_y, solve,
-                      solve_homotopy, structured_rank)
-from slrm.linalg import spmv_t, unvec, vec
-from slrm.objective import FactorPair, phi_value, psi_value
+from slrm import apps, gcg
+from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
+                      SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
+                      compress, lam_stages, local_search, rank_estimate,
+                      recover_y, solve, solve_homotopy, structured_rank)
+from slrm.linalg import spmv_t, top_singular_pair, unvec, vec
+from slrm.objective import FactorPair, phi_value, psi_value, step_model
 
 from conftest import random_hankel_problem
 
@@ -135,6 +136,72 @@ def test_block_cg_makes_at_most_max_iter_applies(rng, max_iter):
     assert quad(x) < quad(x0)
     if max_iter == 8:  # 8 steps solve each 8-dimensional column system
         np.testing.assert_allclose(x, np.linalg.solve(h, rhs), rtol=1e-8)
+
+
+def test_a_zero_step_drops_the_old_block(rng):
+    # an iterate pointing away from the data: the step discards it whole
+    prob = random_hankel_problem(rng, j=4, k=5, lam=0.7, mu=0.3)
+    u, _, vt = np.linalg.svd(unvec(spmv_t(prob.AC, prob.target), 4, 5))
+    fac = FactorPair(-2.0 * u[:, :2], vt[:2] * np.array([[1.0], [0.3]]))
+    zu, zv = u[:, 0], vt[0]
+    a, theta, psi = step_model(prob, fac, zu, zv).minimize()
+    assert a == 0.0 and theta > 0.0
+    cand = _augment(fac.scaled(np.sqrt(a)), zu, zv, theta)
+    assert cand.rank == 1
+    np.testing.assert_allclose(cand.product(), theta * np.outer(zu, zv), atol=1e-14)
+    assert psi_value(prob, cand) == pytest.approx(psi, rel=1e-12)
+    assert psi < psi_value(prob, fac)
+
+
+def _desk_problem():
+    cfg = apps.SsrConfig(n=2, r=2, j=6, k=8, T=2000, sigma=0.05, seed=7)
+    return apps.ssr_problem(cfg, apps.ssr_generate(cfg), mu=0.1, lam=1.0)
+
+
+def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
+    prob = _desk_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return local_search(*args, **kwargs)
+
+    monkeypatch.setattr(gcg, "local_search", counted)
+    for cfg in (GcgConfig(seed=7), GcgConfig(seed=7, max_iter=30, tol_obj=1e-300,
+                                             tol_x=1e-300)):
+        calls.clear()
+        _, trace = solve(prob, cfg)
+        assert len(calls) == len(trace.records) > 1
+        # a held iteration records theta = 0
+        assert np.all(trace.column("theta") > 0.0)
+        assert np.all(np.diff(trace.column("psi")) <= PSI_SLACK)
+
+
+def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
+    # a 2-restart ARPACK budget at a tight tolerance leaves some atoms
+    # unconverged once the short side exceeds ARPACK's 20-vector subspace
+    unconverged = []
+
+    def spied(*args, **kwargs):
+        pair = top_singular_pair(*args, **kwargs)
+        unconverged.append(not pair.converged)
+        return pair
+
+    monkeypatch.setattr(gcg, "top_singular_pair", spied)
+    for j, k in ((30, 35), (25, 40)):
+        prob = random_hankel_problem(rng, j=j, k=k, mu=0.2, frac=0.5)
+        _, trace = solve(prob, GcgConfig(max_iter=20, seed=3, lanczos_max_iter=2,
+                                         lanczos_tol=1e-15, tol_obj=1e-300,
+                                         tol_x=1e-300))
+        assert np.all(np.diff(trace.column("psi")) <= PSI_SLACK)
+    assert sum(unconverged) >= 2
+
+
+def test_factor_rank_stays_within_the_short_side(rng):
+    prob = random_hankel_problem(rng, j=3, k=6, mu=0.05)
+    _, trace = solve(prob, GcgConfig(max_iter=25, seed=2, tol_obj=1e-300,
+                                     tol_x=1e-300))
+    assert trace.column("factor_rank").max() <= 3
 
 
 def test_frob_dist_matches_dense(rng):

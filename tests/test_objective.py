@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slrm.apps import _selection_matrix
-from slrm.linalg import SparseMatrix, vec
-from slrm.objective import (FactorPair, PenaltyProblem, _grad_vec, _hess_vec,
+from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
+from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
+                            _grad_vec, _hess_vec,
                             assemble, f_value,
                             factor_nuclear_norm, factor_svd, grad_f,
                             line_search_inputs, line_search_theta, phi_value,
-                            psi_value, smooth_terms)
+                            psi_value, smooth_terms, step_model)
 from slrm.structure import RecoveryMode, build_B, build_C, hankel_spec
 
 from conftest import random_hankel_problem
@@ -209,3 +210,78 @@ def test_line_search_zero_slope_atom(rng):
     zv = np.array([0.0, 1.0])
     theta, _ = line_search_theta(prob, FactorPair.zeros(2, 2), zu, zv, 1.0)
     assert theta >= 0.0
+
+
+def _joined(fac, zu, zv, a, theta):
+    # the step candidate: sqrt(a) (U, V) joined by sqrt(theta) (z_u, z_v)
+    return FactorPair(np.hstack([np.sqrt(a) * fac.U, np.sqrt(theta) * zu[:, None]]),
+                      np.vstack([np.sqrt(a) * fac.V, np.sqrt(theta) * zv[None, :]]))
+
+
+def test_step_model_minimizes_psi_over_the_box(rng):
+    kinds = set()
+    for trial in range(20):
+        prob = random_hankel_problem(rng, lam=float(rng.uniform(0.1, 2.0)),
+                                     mu=float(rng.uniform(0.05, 1.0)),
+                                     frac=float(rng.uniform(0.4, 1.0)))
+        m, n = prob.rows, prob.cols
+        # a rough fit of the data, so that every kind of minimizer turns up
+        r = int(rng.integers(1, min(m, n) + 1))
+        lu, ls, lvt = np.linalg.svd(unvec(spmv_t(prob.AC, prob.target), m, n))
+        root = np.sqrt(rng.uniform(0.2, 1.5) * ls[:r])
+        fac = FactorPair(lu[:, :r] * root + 0.1 * rng.standard_normal((m, r)),
+                         root[:, None] * lvt[:r] + 0.1 * rng.standard_normal((r, n)))
+        if trial % 2:  # the solver's atom
+            gu, _, gvt = np.linalg.svd(-grad_f(prob, fac))
+            zu, zv = gu[:, 0], gvt[0]
+        else:
+            zu = rng.standard_normal(m)
+            zu /= np.linalg.norm(zu)
+            zv = rng.standard_normal(n)
+            zv /= np.linalg.norm(zv)
+        a_star, theta_star, psi_star = step_model(prob, fac, zu, zv).minimize()
+        assert 0.0 <= a_star <= 1.0 and theta_star >= 0.0
+        kinds.add("a=0" if a_star == 0.0 else "a=1" if a_star == 1.0
+                  else "theta=0" if theta_star == 0.0 else "interior")
+        tol = 1e-10 * max(1.0, abs(psi_star))
+        built = psi_value(prob, _joined(fac, zu, zv, a_star, theta_star))
+        assert abs(built - psi_star) <= tol
+        assert psi_star <= psi_value(prob, fac) + tol
+        for a in np.linspace(0.0, 1.0, 41):
+            for theta in np.linspace(0.0, 2.0 * theta_star + 1.0, 41):
+                assert psi_value(prob, _joined(fac, zu, zv, a, theta)) >= psi_star - tol
+    assert kinds == {"a=0", "a=1", "theta=0", "interior"}
+
+
+def _two_by_two_hankel(observed, target, mu=0.3):
+    # 2 x 2 Hankel: X[1, 1] is parameter 2 and alone on its anti-diagonal
+    spec = hankel_spec(2, 2)
+    return assemble(spec, _selection_matrix(np.array(observed), spec.n_params),
+                    np.asarray(target, dtype=float), 0.8, mu)
+
+
+def test_step_model_keeps_theta_zero_for_an_atom_orthogonal_to_the_residual():
+    prob = _two_by_two_hankel([0, 1, 2], [1.0, 0.5, 0.0])
+    fac = FactorPair(np.array([[1.0], [0.0]]), np.array([[1.0, 1.0]]))
+    zu = zv = np.array([0.0, 1.0])  # reads parameter 2, where X and b are 0
+    model = step_model(prob, fac, zu, zv)
+    assert model.grad_theta == prob.mu and model.h_at == 0.0
+    a, theta, psi = model.minimize()
+    assert theta == 0.0 and 0.0 < a <= 1.0
+    assert psi == pytest.approx(psi_value(prob, fac.scaled(np.sqrt(a))), abs=1e-14)
+    assert psi <= psi_value(prob, fac)
+
+
+def test_step_model_rejects_an_unbounded_atom():
+    # parameter 2 is unobserved and X[1, 1] has no structure partner, so the
+    # atom has zero curvature; only mu < 0 gives it a negative drift
+    prob = _two_by_two_hankel([0, 1], [1.0, 0.5])
+    zu = zv = np.array([0.0, 1.0])
+    zero = FactorPair.zeros(2, 2)
+    assert step_model(prob, zero, zu, zv).h_tt == 0.0
+    assert step_model(prob, zero, zu, zv).minimize()[1] == 0.0
+    bad = replace(prob, mu=-0.2)
+    with pytest.raises(UnboundedDirectionError):
+        step_model(bad, zero, zu, zv).minimize()
+    with pytest.raises(UnboundedDirectionError):
+        line_search_theta(bad, zero, zu, zv, 1.0)
