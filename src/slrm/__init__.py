@@ -16,10 +16,9 @@ from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
                   solve_homotopy, structured_rank)
 from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_eigenvalue,
                      top_singular_pair, unvec, vec)
-from .objective import (FactorPair, LineSearchInputs, PenaltyProblem, StepModel,
+from .objective import (FactorPair, PenaltyProblem, StepModel,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
-                        grad_f, line_search_theta, phi_value, psi_value,
-                        step_model)
+                        grad_f, phi_value, psi_value, step_model)
 from .structure import (RecoveryMode, StructureSpec, apply_structure,
                         block_hankel_spec, build_B, build_C, from_json,
                         hankel_spec, project_to_image, read_parameters,

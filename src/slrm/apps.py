@@ -181,6 +181,10 @@ def sinusoid_grid(n1, n2, f1, f2, phases, amps=None):
 
 
 def scs_generate(cfg: ScsConfig) -> ScsData:
+    if not 0.0 < cfg.snr < np.inf:
+        raise ValueError("snr must be positive and finite")
+    if not 0.0 < cfg.obs_fraction <= 1.0:
+        raise ValueError("obs_fraction must lie in (0, 1]")
     rng_sig = substream(cfg.seed, _STREAM_SIGNAL)
     f1 = rng_sig.uniform(0.0, 1.0, cfg.r)
     f2 = rng_sig.uniform(0.0, 1.0, cfg.r)
@@ -189,7 +193,7 @@ def scs_generate(cfg: ScsConfig) -> ScsData:
 
     total = cfg.n1 * cfg.n2
     count = int(round(cfg.obs_fraction * total))
-    if not 0 < count <= total:
+    if count == 0:
         raise ValueError("obs_fraction leaves nothing to observe")
     omega = np.sort(substream(cfg.seed, _STREAM_MASK).choice(total, size=count,
                                                              replace=False))

@@ -16,40 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
-from .gcg import (DivergedError, SolveTrace, TraceRecord, _continuation,
-                  rank_estimate, structured_rank_of)
+from .gcg import (DivergedError, SolverConfig, SolveTrace, TraceRecord,
+                  _continuation, structured_rank_of)
 from .linalg import _wide_core, dense_svd, spmv, top_eigenvalue, unvec, vec
 from .objective import PenaltyProblem, _grad_vec, _hess_vec, smooth_terms
 
+LIPSCHITZ_SAFETY = 1.05
+
 
 @dataclass
-class ApgConfig:
-    max_iter: int = 100
-    tol_x: float = 1e-3
-    tol_obj: float = 1e-3
-    seed: int = 0
-    lipschitz_safety: float = 1.05
-    power_tol: float = 1e-8
-    power_max_iter: int = 500
-    track_structured_rank: bool = True
-    rank_threshold: float = 1e-3
-    # Continuation stages matching GcgConfig, used by solve_apg_homotopy so
-    # both solvers terminate on the same objective.
-    lam_growth: float = 10.0
-    lam_max: float = 100.0
+class ApgConfig(SolverConfig):
+    """Proximal-gradient settings: only the ones both solvers share.
+
+    The rank column is always the structured rank of Q(C x), and the step
+    is 1 / ``lipschitz_estimate``.
+    """
 
     @classmethod
     def oracle(cls, max_iter=5000, **kw):
         """Long run with stopping effectively disabled; used as a phi* reference."""
         return cls(max_iter=max_iter, tol_x=1e-300, tol_obj=1e-300, **kw)
-
-    def validate(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.tol_x <= 0 or self.tol_obj <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.lam_growth < 1.0:
-            raise ValueError("lam_growth must be at least 1 (1 disables continuation)")
 
 
 def hessian_operator(prob: PenaltyProblem) -> LinearOperator:
@@ -62,20 +48,17 @@ def hessian_operator(prob: PenaltyProblem) -> LinearOperator:
                           dtype=float)
 
 
-def lipschitz_estimate(prob: PenaltyProblem, config: ApgConfig | None = None):
+def lipschitz_estimate(prob: PenaltyProblem, seed=0):
     """Step-size bound L >= lambda_max of the Hessian, for the FISTA step 1/L.
 
     Power iteration approaches lambda_max from below and can spend its
     whole budget short of it: on the scs 31x31 Hessian it stops after 500
     steps at 3.99181 against 3.99239.  An L below lambda_max makes 1/L too
-    long a step, so the estimate is scaled up by ``lipschitz_safety``
+    long a step, so the estimate is scaled up by ``LIPSCHITZ_SAFETY``
     whether or not the iteration converged.
     """
-    if config is None:
-        config = ApgConfig()
-    est = top_eigenvalue(hessian_operator(prob), tol=config.power_tol,
-                         max_iter=config.power_max_iter, seed=config.seed)
-    return max(est.value, 0.0) * config.lipschitz_safety
+    est = top_eigenvalue(hessian_operator(prob), seed=seed)
+    return max(est.value, 0.0) * LIPSCHITZ_SAFETY
 
 
 def svt(x, tau):
@@ -108,7 +91,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         config = ApgConfig()
     config.validate()
     t0 = time.perf_counter()
-    lip = lipschitz_estimate(prob, config)
+    lip = lipschitz_estimate(prob, config.seed)
     if lip <= 0.0:
         lip = 1.0  # no curvature: any step works, prox does everything
     step = 1.0 / lip
@@ -135,11 +118,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         if not np.isfinite(phi):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
-        if config.track_structured_rank:
-            rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_new)),
-                                      config.rank_threshold)
-        else:
-            rank = rank_estimate(s_vals, config.rank_threshold)
+        rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_new)))
         dx = float(np.linalg.norm(x_new - x_prev))
         trace.records.append(TraceRecord(
             iteration=k,
@@ -153,17 +132,10 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             rank=rank,
             factor_rank=int(np.sum(s_vals > 0.0)),
         ))
-        if phi_prev is not None:
-            denom = abs(min(phi, phi_prev))
-            rel_obj = abs(phi - phi_prev) / denom if denom > 0 else abs(phi - phi_prev)
-        else:
-            rel_obj = np.inf
+        reason = config.stop_reason(dx, phi, phi_prev)  # no tol_obj at k = 1
         x_prev, t_mom, phi_prev = x_new, t_new, phi
-        if dx < config.tol_x:
-            trace.converged_reason = "tol_x"
-            break
-        if rel_obj < config.tol_obj:
-            trace.converged_reason = "tol_obj"
+        if reason:
+            trace.converged_reason = reason
             break
 
     trace.wall_time_s = time.perf_counter() - t0

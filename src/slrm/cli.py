@@ -18,9 +18,8 @@ import numpy as np
 
 from . import apps
 from .baseline import ApgConfig, solve_apg_homotopy
-from .gcg import (DivergedError, GcgConfig, SolveTrace, recover_y, solve,
-                  solve_homotopy)
-from .linalg import top_singular_pair, unvec, vec
+from .gcg import DivergedError, GcgConfig, SolveTrace, solve, solve_homotopy
+from .linalg import spmv, top_singular_pair, unvec, vec
 from .objective import FactorPair, assemble, f_value, grad_f
 from .structure import (apply_structure, block_hankel_spec, build_B, build_C,
                         hankel_spec, two_fold_hankel_spec)
@@ -133,27 +132,16 @@ def _apply_config_file(parser, subparsers, argv):
     return parser.parse_args(argv)
 
 
-def _solver_configs(args):
-    if args.solver == "gcg":
-        return GcgConfig(max_iter=args.max_iter, seed=args.seed,
-                         local_search_max_steps=0,
-                         lam_growth=args.lam_growth, lam_max=args.lam_max)
-    if args.solver == "gcgls":
-        return GcgConfig(max_iter=args.max_iter, seed=args.seed,
-                         lam_growth=args.lam_growth, lam_max=args.lam_max)
-    return ApgConfig(max_iter=args.max_iter, seed=args.seed,
-                     lam_growth=args.lam_growth, lam_max=args.lam_max)
-
-
 def _run_solver(prob, args):
-    cfg = _solver_configs(args)
-    if isinstance(cfg, ApgConfig):
-        x, trace = solve_apg_homotopy(prob, cfg)
-        factors = None
-    else:
-        factors, trace = solve_homotopy(prob, cfg)
-        x = None
-    return factors, x, trace
+    """(dense X, trace) of the chosen solver's continuation run."""
+    common = dict(max_iter=args.max_iter, seed=args.seed,
+                  lam_growth=args.lam_growth, lam_max=args.lam_max)
+    if args.solver == "apg-svt":
+        return solve_apg_homotopy(prob, ApgConfig(**common))
+    if args.solver == "gcg":
+        common["local_search_max_steps"] = 0
+    factors, trace = solve_homotopy(prob, GcgConfig(**common))
+    return factors.product(), trace
 
 
 def _write_run_outputs(out_dir, trace: SolveTrace, args):
@@ -166,57 +154,59 @@ def _write_run_outputs(out_dir, trace: SolveTrace, args):
     return summary
 
 
-def run_ssr(args):
-    cfg = apps.SsrConfig(n=args.n, r=args.r, j=args.j, k=args.k, T=args.T,
-                         sigma=args.sigma, seed=args.seed)
-    data = apps.ssr_generate(cfg)
-    prob = apps.ssr_problem(cfg, data, mu=args.mu, lam=args.lam)
-    out_dir = args.out or os.path.join("runs", "ssr")
-    os.makedirs(out_dir, exist_ok=True)
-    apps.save_ssr_data(os.path.join(out_dir, "covariances.csv"), data)
+def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
+    """Generate, assemble and solve one instance; write and print the outputs.
+
+    ``finish(prob, data, x, out_dir)`` may write more files; the fields it
+    returns join the printed summary.
+    """
     try:
-        factors, x, trace = _run_solver(prob, args)
+        data = generate(cfg)
+        prob = problem(cfg, data, mu=args.mu, lam=args.lam)
+    except ValueError as exc:  # bad experiment parameters
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir = args.out or os.path.join("runs", args.command)
+    os.makedirs(out_dir, exist_ok=True)
+    save(os.path.join(out_dir, data_file), data)
+    try:
+        x, trace = _run_solver(prob, args)
     except DivergedError as exc:
         if exc.trace is not None:
             _write_run_outputs(out_dir, exc.trace, args)
         print(f"diverged: {exc}", file=sys.stderr)
         return 1
+    extra = finish(prob, data, x, out_dir) if finish else {}
     summary = _write_run_outputs(out_dir, trace, args)
+    summary.update(extra)
     print(json.dumps(summary, sort_keys=True))
     return 0
+
+
+def run_ssr(args):
+    cfg = apps.SsrConfig(n=args.n, r=args.r, j=args.j, k=args.k, T=args.T,
+                         sigma=args.sigma, seed=args.seed)
+    return _run_app(args, cfg, apps.ssr_generate, apps.ssr_problem,
+                    apps.save_ssr_data, "covariances.csv")
 
 
 def run_scs(args):
     cfg = apps.ScsConfig(n1=args.n1, n2=args.n2, r=args.r, k1=args.k1,
                          k2=args.k2, obs_fraction=args.obs, snr=args.snr,
                          seed=args.seed)
-    data = apps.scs_generate(cfg)
-    prob = apps.scs_problem(cfg, data, mu=args.mu, lam=args.lam)
-    out_dir = args.out or os.path.join("runs", "scs")
-    os.makedirs(out_dir, exist_ok=True)
-    apps.save_scs_data(os.path.join(out_dir, "signal.csv"), data)
-    try:
-        factors, x, trace = _run_solver(prob, args)
-    except DivergedError as exc:
-        if exc.trace is not None:
-            _write_run_outputs(out_dir, exc.trace, args)
-        print(f"diverged: {exc}", file=sys.stderr)
-        return 1
-    if factors is not None:
-        y_hat = recover_y(prob, factors)
-    else:
-        y_hat = np.asarray(prob.C.to_scipy() @ vec(x))
-    grid = unvec(y_hat, cfg.n1, cfg.n2)
-    with open(os.path.join(out_dir, "recovered.csv"), "w") as fh:
-        fh.write("row,col,value\n")
-        for rr in range(cfg.n1):
-            for cc in range(cfg.n2):
-                fh.write(f"{rr},{cc},{grid[rr, cc]!r}\n")
-    summary = _write_run_outputs(out_dir, trace, args)
-    err = float(np.linalg.norm(grid - data.signal) / np.linalg.norm(data.signal))
-    summary["normalized_error"] = err
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+
+    def write_grid(prob, data, x, out_dir):
+        grid = unvec(spmv(prob.C, vec(x)), cfg.n1, cfg.n2)
+        with open(os.path.join(out_dir, "recovered.csv"), "w") as fh:
+            fh.write("row,col,value\n")
+            for rr in range(cfg.n1):
+                for cc in range(cfg.n2):
+                    fh.write(f"{rr},{cc},{grid[rr, cc]!r}\n")
+        err = np.linalg.norm(grid - data.signal) / np.linalg.norm(data.signal)
+        return {"normalized_error": float(err)}
+
+    return _run_app(args, cfg, apps.scs_generate, apps.scs_problem,
+                    apps.save_scs_data, "signal.csv", write_grid)
 
 
 DEFAULT_BENCH_SIZES = ((5, 5, 4, 100), (5, 5, 4, 400), (5, 5, 4, 1600))
@@ -239,7 +229,7 @@ def bench(sizes=DEFAULT_BENCH_SIZES, reps=3, iters=10, seed=0):
         prob = assemble(spec, sel, y, lam=1.0, mu=0.1)
         cfg = GcgConfig(max_iter=iters, tol_x=1e-300, tol_obj=1e-300,
                         local_search_max_steps=5, track_structured_rank=False,
-                        recompress_every=0, seed=seed)
+                        recompress=False, seed=seed)
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()

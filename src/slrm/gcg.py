@@ -35,24 +35,16 @@ class DivergedError(RuntimeError):
 
 
 @dataclass
-class GcgConfig:
+class SolverConfig:
+    """Settings both solvers share: iteration cap, stop rule, seed, continuation."""
+
     max_iter: int = 100
     tol_x: float = 1e-3            # stop when |X_k - X_{k-1}|_F drops below
     tol_obj: float = 1e-3          # stop on relative phi change
-    local_search_max_steps: int = 5      # alternating sweeps per iteration
-    local_search_rel_floor: float = 1e-4
-    local_search_cg_iters: int = 10      # CG cap inside each block solve
-    enforce_monotone_psi: bool = True
-    lanczos_tol: float = 1e-8
-    lanczos_max_iter: int = 500
     seed: int = 0
-    track_structured_rank: bool = True   # rank column from Q(C x); else from sigma(UV)
-    rank_threshold: float = 1e-3
-    recompress_every: int = 1            # 0 disables factor re-compression
-    recompress_tol: float = 1e-10
-    # Continuation (solve_homotopy only): re-solve at geometrically growing
-    # structure weights lam, lam*lam_growth, ... capped at lam_max, warm
-    # starting each stage.  solve() itself always uses the problem's lam.
+    # Continuation (the *_homotopy solves only): re-solve at geometrically
+    # growing structure weights lam, lam*lam_growth, ... capped at lam_max,
+    # warm starting each stage.  A plain solve always uses the problem's lam.
     lam_growth: float = 10.0
     lam_max: float = 100.0
 
@@ -61,12 +53,43 @@ class GcgConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol_x <= 0 or self.tol_obj <= 0:
             raise ValueError("tolerances must be positive")
-        if self.local_search_max_steps < 0:
-            raise ValueError("local search budget must be non-negative")
-        if self.local_search_cg_iters < 1:
-            raise ValueError("local_search_cg_iters must be at least 1")
         if self.lam_growth < 1.0:
             raise ValueError("lam_growth must be at least 1 (1 disables continuation)")
+
+    def stop_reason(self, dx, phi, phi_prev):
+        """Why to stop after a step of size dx that took phi_prev to phi.
+
+        "tol_x" is tested before "tol_obj"; "" means go on.  With no
+        previous phi (None) only tol_x can fire.
+        """
+        if dx < self.tol_x:
+            return "tol_x"
+        if phi_prev is None:
+            return ""
+        denom = abs(min(phi, phi_prev))
+        rel_obj = abs(phi - phi_prev) / denom if denom > 0 else abs(phi - phi_prev)
+        return "tol_obj" if rel_obj < self.tol_obj else ""
+
+
+@dataclass
+class GcgConfig(SolverConfig):
+    """Conditional-gradient settings.
+
+    The rest is fixed: atoms come from ``top_singular_pair`` at its ARPACK
+    defaults, the local search runs at most 10 CG steps per block solve and
+    stops below a 1e-4 relative improvement, the rank column counts values
+    above 1e-3, recompression drops values at or below 1e-10, and a step
+    that would raise psi past rounding is always held.
+    """
+
+    local_search_max_steps: int = 5      # alternating sweeps per iteration
+    track_structured_rank: bool = True   # rank column from Q(C x); else from sigma(UV)
+    recompress: bool = True              # re-factor through the thin SVD every iteration
+
+    def validate(self):
+        super().validate()
+        if self.local_search_max_steps < 0:
+            raise ValueError("local search budget must be non-negative")
 
 
 @dataclass
@@ -140,18 +163,7 @@ def rank_estimate(singular_values, threshold=1e-3, relative=False):
 
 
 def recover_y(prob: PenaltyProblem, factors: FactorPair):
-    """Parameters C @ vec(U V), gathered entry-wise when the rank is small."""
-    r = factors.rank
-    n_y = prob.C.n_rows
-    if r == 0:
-        return np.zeros(n_y)
-    if r <= 8 or prob.C.nnz * r <= prob.size:
-        idx = prob.C.col_indices
-        pos_r = idx % prob.rows
-        pos_c = idx // prob.rows
-        entries = np.einsum("nr,rn->n", factors.U[pos_r, :], factors.V[:, pos_c])
-        row_ids = np.repeat(np.arange(n_y), np.diff(prob.C.row_offsets))
-        return np.bincount(row_ids, weights=prob.C.values * entries, minlength=n_y)
+    """Parameters C @ vec(U V)."""
     return spmv(prob.C, vec(factors.product()))
 
 
@@ -179,13 +191,13 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
-def _recompressed(prob: PenaltyProblem, factors: FactorPair, psi, tol):
+def _recompressed(prob: PenaltyProblem, factors: FactorPair, psi):
     # compress() unless psi rises past rounding; returns (factors, psi).
     # Balanced factors sit on the nuclear norm already, where a drop of
     # rank can go either way by rounding.
     if factors.rank == 0 or not np.isfinite(psi):
         return factors, psi
-    packed = compress(factors, tol)
+    packed = compress(factors)
     psi_packed = psi_value(prob, packed)
     if psi_packed <= psi + PSI_SLACK:
         return packed, psi_packed
@@ -223,7 +235,7 @@ def _block_cg(apply_mat, rhs, x0, r0, max_iter, tol=1e-10):
 
 
 def local_search(prob: PenaltyProblem, u_init, v_init, budget,
-                 rel_floor=1e-4, cg_iters=50, return_history=False):
+                 rel_floor=1e-4, cg_iters=10, return_history=False):
     """Alternating ridge solves on U and V (block minimization of psi).
 
     With one factor held fixed psi is a strongly convex quadratic in the
@@ -318,29 +330,24 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     psi_prev = psi_value(prob, factors)
     if not np.isfinite(psi_prev):  # checked before phi: its SVD needs finite factors
         raise DivergedError("non-finite objective at the initial point", trace)
-    if config.recompress_every:
-        factors, psi_prev = _recompressed(prob, factors, psi_prev,
-                                          config.recompress_tol)
+    if config.recompress:
+        factors, psi_prev = _recompressed(prob, factors, psi_prev)
     phi_prev = phi_value(prob, factors)
     trace.converged_reason = "max_iter"
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors)
-        pair = top_singular_pair(-g, tol=config.lanczos_tol,
-                                 max_iter=config.lanczos_max_iter,
-                                 seed=_iteration_seed(config.seed, k))
+        pair = top_singular_pair(-g, seed=_iteration_seed(config.seed, k))
         sigma_top = pair.sigma
         a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, history = local_search(prob, cand.U, cand.V,
                                      budget=config.local_search_max_steps,
-                                     rel_floor=config.local_search_rel_floor,
-                                     cg_iters=config.local_search_cg_iters,
                                      return_history=True)
         psi_cand = history[-1]
-        if config.recompress_every and k % config.recompress_every == 0:
-            cand, psi_cand = _recompressed(prob, cand, psi_cand, config.recompress_tol)
-        held = config.enforce_monotone_psi and not psi_cand <= psi_prev + PSI_SLACK
+        if config.recompress:
+            cand, psi_cand = _recompressed(prob, cand, psi_cand)
+        held = not psi_cand <= psi_prev + PSI_SLACK
         if held:
             # no move raises psi beyond rounding, so only rounding gets here
             cand, psi_cand, theta = factors, psi_prev, 0.0
@@ -355,9 +362,9 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
         if config.track_structured_rank:
-            rank = structured_rank(prob, cand, config.rank_threshold)
+            rank = structured_rank(prob, cand)
         else:
-            rank = rank_estimate(factor_svd(cand)[1], config.rank_threshold)
+            rank = rank_estimate(factor_svd(cand)[1])
         dx = _frob_dist(cand, factors)
         trace.records.append(TraceRecord(
             iteration=k,
@@ -371,16 +378,11 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             rank=rank,
             factor_rank=cand.rank,
         ))
-        denom = abs(min(phi, phi_prev))
-        rel_obj = abs(phi - phi_prev) / denom if denom > 0 else abs(phi - phi_prev)
+        # a held step is not convergence, only zero motion
+        reason = "" if held else config.stop_reason(dx, phi, phi_prev)
         factors, psi_prev, phi_prev = cand, psi_cand, phi
-        if held:
-            continue  # a rejected step is not convergence, only zero motion
-        if dx < config.tol_x:
-            trace.converged_reason = "tol_x"
-            break
-        if rel_obj < config.tol_obj:
-            trace.converged_reason = "tol_obj"
+        if reason:
+            trace.converged_reason = reason
             break
 
     trace.wall_time_s = time.perf_counter() - t0

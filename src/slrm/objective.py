@@ -111,6 +111,8 @@ def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam, mu,
         raise ValueError("observation width must match the parameter count")
     if target.shape != (observation.n_rows,):
         raise ValueError("target length must match the observation rows")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target must be finite")
     b_mat = build_B(spec)
     c_mat = build_C(spec, recovery)
     ac = sparse_matmul(observation, c_mat)
@@ -283,37 +285,3 @@ def step_model(prob: PenaltyProblem, factors: FactorPair, z_u, z_v):
     tau = prob.mu * factors.surrogate()
     return StepModel(f0 + tau, grad_a + tau, grad_theta + prob.mu,
                      h_aa, h_at, h_tt)
-
-
-@dataclass(frozen=True)
-class LineSearchInputs:
-    """Quadratic model of h along the new atom: slope and curvature at theta=0."""
-
-    eta: float
-    slope: float      # <Z, grad f((1-eta) X)>
-    curvature: float  # |AC vec(Z)|^2 + lam |B vec(Z)|^2
-
-
-def _check_eta(eta):
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-
-
-def line_search_inputs(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
-    _check_eta(eta)
-    model = step_model(prob, shrunk, z_u, z_v)
-    return LineSearchInputs(float(eta), model.grad_theta - prob.mu, model.h_tt)
-
-
-def line_search_theta(prob: PenaltyProblem, shrunk: FactorPair, z_u, z_v, eta):
-    """Exact minimizer of the upper model h over theta >= 0.
-
-    ``shrunk`` must already be scaled by sqrt(1 - eta).  h(theta) is the
-    smooth part at (1-eta)X + theta Z plus mu times the shrunk surrogate
-    plus mu*theta: the a = 1 slice of the shrunk factors' StepModel, which
-    is closed form since f is quadratic.  Returns (theta, h(theta)).
-    """
-    _check_eta(eta)
-    model = step_model(prob, shrunk, z_u, z_v)
-    theta = model.theta_at(1.0)
-    return theta, model.value(1.0, theta)

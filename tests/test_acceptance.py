@@ -21,8 +21,7 @@ from slrm import apps, cli
 from slrm.baseline import ApgConfig, solve_apg_homotopy
 from slrm.gcg import GcgConfig, rank_estimate, recover_y, solve_homotopy
 from slrm.linalg import as_operator, spmv, top_singular_pair, unvec, vec
-from slrm.objective import (FactorPair, f_value, grad_f, line_search_inputs,
-                            line_search_theta)
+from slrm.objective import FactorPair, f_value, grad_f, step_model
 from slrm.structure import (RecoveryMode, apply_structure, block_hankel_spec,
                             build_B, build_C, hankel_spec, project_to_image,
                             two_fold_hankel_spec)
@@ -198,14 +197,16 @@ def test_line_search_bound_and_optimality(capsys):
         shrunk = factors.scaled(np.sqrt(1.0 - eta))
         gu, _, gvt = np.linalg.svd(-grad_f(prob, shrunk))
         z_u, z_v = gu[:, 0], gvt[0]
-        inp = line_search_inputs(prob, shrunk, z_u, z_v, eta)
-        theta_star, h_star = line_search_theta(prob, shrunk, z_u, z_v, eta)
+        model = step_model(prob, shrunk, z_u, z_v)
+        theta_star = model.theta_at(1.0)
+        h_star = model.value(1.0, theta_star)
+        slope, curvature = model.grad_theta - prob.mu, model.h_tt
         f0 = f_value(prob, vec(shrunk.product()))
         base = prob.mu * shrunk.surrogate()
 
         def h(theta):
-            return (f0 + theta * (inp.slope + prob.mu)
-                    + 0.5 * theta * theta * inp.curvature + base)
+            return (f0 + theta * (slope + prob.mu)
+                    + 0.5 * theta * theta * curvature + base)
 
         assert abs(h(theta_star) - h_star) <= 1e-10 * max(1.0, abs(h_star))
         for theta in rng.uniform(0.0, 2.0 * theta_star + 1.0, size=20):

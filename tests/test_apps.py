@@ -126,6 +126,12 @@ def test_scs_generate_mask_and_snr():
     assert snr_got == pytest.approx(8.0, rel=1e-10)
     with pytest.raises(ValueError):
         scs_generate(ScsConfig(n1=4, n2=4, r=1, k1=2, k2=2, obs_fraction=0.0))
+    for snr in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="snr"):
+            scs_generate(ScsConfig(n1=4, n2=4, r=1, k1=2, k2=2, snr=snr))
+    for obs in (-0.1, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="obs_fraction"):
+            scs_generate(ScsConfig(n1=4, n2=4, r=1, k1=2, k2=2, obs_fraction=obs))
 
 
 def test_scs_problem_wires_observed_entries():

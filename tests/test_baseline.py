@@ -11,7 +11,8 @@ from slrm.baseline import (ApgConfig, _svt_with_values, hessian_operator,
                            svt)
 from slrm.gcg import DivergedError, GcgConfig, solve
 from slrm.linalg import top_eigenvalue, vec
-from slrm.objective import smooth_terms
+from slrm.objective import assemble, smooth_terms
+from slrm.structure import hankel_spec
 
 from conftest import random_hankel_problem, spectral_test_matrices
 
@@ -108,6 +109,24 @@ def test_lipschitz_estimate_bounds_top_eigenvalue(rng):
     assert not power.converged and power.value < top
     est = lipschitz_estimate(prob)
     assert top <= est <= top * 1.05
+
+
+def test_apg_without_data_or_structure_weight_takes_unit_steps():
+    # no observed entries and lam = 0: the Hessian is zero, the power
+    # iteration reads lambda_max = 0, and solve_apg falls back to step 1
+    spec = hankel_spec(3, 4)
+    prob = assemble(spec, apps._selection_matrix([], spec.n_params),
+                    np.zeros(0), lam=0.0, mu=0.3)
+    assert lipschitz_estimate(prob) == 0.0
+    _, trace = solve_apg(prob, ApgConfig(max_iter=5))
+    assert len(trace.records) >= 1
+    for name in ("phi", "f_smooth", "square_loss", "psi", "sigma_top"):
+        assert np.all(np.isfinite(trace.column(name))), name
+    # with step 1 the first prox lowers the all-ones start's single
+    # singular value sqrt(M N) by exactly mu
+    first = trace.records[0]
+    assert first.sigma_top == pytest.approx(np.sqrt(prob.size) - prob.mu, rel=1e-12)
+    assert first.phi == pytest.approx(prob.mu * first.sigma_top, rel=1e-12)
 
 
 def test_apg_descends_and_is_deterministic(rng):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,34 @@ def test_scs_end_to_end_all_solvers(tmp_path, capsys):
         assert "normalized_error" in summary
         assert os.path.exists(os.path.join(out, "recovered.csv"))
         assert os.path.exists(os.path.join(out, "signal.csv"))
+
+
+SCS_SMALL = ["scs", "--n1", "8", "--n2", "8", "--r", "1", "--k1", "3",
+             "--k2", "3", "--mu", "0.1", "--max-iter", "3"]
+SSR_SMALL = ["ssr", "--n", "2", "--r", "1", "--j", "3", "--k", "3",
+             "--T", "150", "--max-iter", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    SCS_SMALL + ["--snr", "0"],
+    SCS_SMALL + ["--snr", "0", "--solver", "apg-svt"],
+    SCS_SMALL + ["--snr", "nan"],
+    SCS_SMALL + ["--obs", "0"],
+    SCS_SMALL + ["--obs", "inf"],
+    SSR_SMALL + ["--mu", "0"],
+    SSR_SMALL + ["--mu", "0.1", "--sigma", "nan"],
+], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
+     "ssr-sigma-nan"])
+def test_bad_experiment_parameters_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + ["--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_file_sets_defaults_but_flags_win(tmp_path, capsys):

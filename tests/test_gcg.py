@@ -24,8 +24,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GcgConfig(local_search_max_steps=-1).validate()
     with pytest.raises(ValueError):
-        GcgConfig(local_search_cg_iters=0).validate()
-    with pytest.raises(ValueError):
         GcgConfig(lam_growth=0.5).validate()
 
 
@@ -47,7 +45,7 @@ def test_rank_estimate_relative_rescales_by_top_value():
 
 def test_recover_y_matches_sparse_product(rng):
     prob = random_hankel_problem(rng, j=4, k=5)
-    for r in (0, 1, 3, 10):  # both the gather path and the dense fallback
+    for r in (0, 1, 3, 10):
         fac = (FactorPair.zeros(4, 5) if r == 0 else
                FactorPair(rng.standard_normal((4, r)), rng.standard_normal((r, 5))))
         want = prob.C.to_scipy() @ vec(fac.product())
@@ -183,15 +181,14 @@ def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
     unconverged = []
 
     def spied(*args, **kwargs):
-        pair = top_singular_pair(*args, **kwargs)
+        pair = top_singular_pair(*args, **{**kwargs, "tol": 1e-15, "max_iter": 2})
         unconverged.append(not pair.converged)
         return pair
 
     monkeypatch.setattr(gcg, "top_singular_pair", spied)
     for j, k in ((30, 35), (25, 40)):
         prob = random_hankel_problem(rng, j=j, k=k, mu=0.2, frac=0.5)
-        _, trace = solve(prob, GcgConfig(max_iter=20, seed=3, lanczos_max_iter=2,
-                                         lanczos_tol=1e-15, tol_obj=1e-300,
+        _, trace = solve(prob, GcgConfig(max_iter=20, seed=3, tol_obj=1e-300,
                                          tol_x=1e-300))
         assert np.all(np.diff(trace.column("psi")) <= PSI_SLACK)
     assert sum(unconverged) >= 2
@@ -277,11 +274,12 @@ def test_solve_without_local_search_still_descends(rng):
 
 def test_factor_rank_column_with_recompression(rng):
     prob = random_hankel_problem(rng, j=4, k=5, mu=0.5)
-    cfg = GcgConfig(max_iter=12, seed=3, recompress_every=4,
-                    track_structured_rank=False)
-    fac, trace = solve(prob, cfg)
-    assert all(r.factor_rank >= 0 for r in trace.records)
-    assert all(r.rank <= min(prob.rows, prob.cols) for r in trace.records)
+    for recompress in (True, False):
+        cfg = GcgConfig(max_iter=12, seed=3, recompress=recompress,
+                        track_structured_rank=False)
+        fac, trace = solve(prob, cfg)
+        assert all(r.factor_rank >= 0 for r in trace.records)
+        assert all(r.rank <= min(prob.rows, prob.cols) for r in trace.records)
 
 
 def test_trace_csv_roundtrip():

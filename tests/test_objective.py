@@ -1,4 +1,4 @@
-"""Penalized objective: factored values, gradients, and the atom line search."""
+"""Penalized objective: factored values, gradients, and the atom step model."""
 
 from dataclasses import replace
 
@@ -11,8 +11,7 @@ from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
 from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
                             _grad_vec, _hess_vec,
                             assemble, f_value,
-                            factor_nuclear_norm, factor_svd, grad_f,
-                            line_search_inputs, line_search_theta, phi_value,
+                            factor_nuclear_norm, factor_svd, grad_f, phi_value,
                             psi_value, smooth_terms, step_model)
 from slrm.structure import RecoveryMode, build_B, build_C, hankel_spec
 
@@ -69,6 +68,11 @@ def test_assemble_validation(rng):
         assemble(spec, sel, y, lam=1.0, mu=0.0)
     with pytest.raises(ValueError):
         assemble(spec, sel, y[:-1], lam=1.0, mu=0.1)
+    for value in (np.nan, np.inf, -np.inf):
+        y_bad = y.copy()
+        y_bad[2] = value
+        with pytest.raises(ValueError, match="finite"):
+            assemble(spec, sel, y_bad, lam=1.0, mu=0.1)
     bad = _selection_matrix(np.arange(3), spec.n_params - 1)
     with pytest.raises(ValueError):
         assemble(spec, bad, rng.standard_normal(3), lam=1.0, mu=0.1)
@@ -166,16 +170,14 @@ def test_line_search_inputs_against_dense(rng):
     zu /= np.linalg.norm(zu)
     zv = rng.standard_normal(4)
     zv /= np.linalg.norm(zv)
-    inp = line_search_inputs(prob, shrunk, zu, zv, eta)
+    model = step_model(prob, shrunk, zu, zv)
     z = np.outer(zu, zv)
     want_slope = float(np.sum(z * grad_f(prob, shrunk)))
     ac = prob.AC.to_dense()
     bm = prob.B.to_dense()
     want_q = float(np.sum((ac @ vec(z)) ** 2) + prob.lam * np.sum((bm @ vec(z)) ** 2))
-    assert inp.slope == pytest.approx(want_slope, abs=1e-12)
-    assert inp.curvature == pytest.approx(want_q, abs=1e-12)
-    with pytest.raises(ValueError):
-        line_search_inputs(prob, shrunk, zu, zv, 0.0)
+    assert model.grad_theta - prob.mu == pytest.approx(want_slope, abs=1e-12)
+    assert model.h_tt == pytest.approx(want_q, abs=1e-12)
 
 
 def _h_direct(prob, shrunk, zu, zv, theta):
@@ -194,7 +196,9 @@ def test_line_search_theta_minimizes(rng):
         zu /= np.linalg.norm(zu)
         zv = rng.standard_normal(n)
         zv /= np.linalg.norm(zv)
-        theta, h_min = line_search_theta(prob, shrunk, zu, zv, eta)
+        model = step_model(prob, shrunk, zu, zv)
+        theta = model.theta_at(1.0)
+        h_min = model.value(1.0, theta)
         assert theta >= 0.0
         assert h_min == pytest.approx(_h_direct(prob, shrunk, zu, zv, theta), abs=1e-9)
         # a scan over the ray never beats the closed form
@@ -208,7 +212,7 @@ def test_line_search_zero_slope_atom(rng):
     shrunk = FactorPair.zeros(2, 2).scaled(1.0)
     zu = np.array([0.0, 1.0])
     zv = np.array([0.0, 1.0])
-    theta, _ = line_search_theta(prob, FactorPair.zeros(2, 2), zu, zv, 1.0)
+    theta = step_model(prob, FactorPair.zeros(2, 2), zu, zv).theta_at(1.0)
     assert theta >= 0.0
 
 
@@ -284,4 +288,4 @@ def test_step_model_rejects_an_unbounded_atom():
     with pytest.raises(UnboundedDirectionError):
         step_model(bad, zero, zu, zv).minimize()
     with pytest.raises(UnboundedDirectionError):
-        line_search_theta(bad, zero, zu, zv, 1.0)
+        step_model(bad, zero, zu, zv).theta_at(1.0)
