@@ -9,19 +9,20 @@ dense reference.
 
 from .apps import (ScsConfig, ScsData, SsrConfig, SsrData, recovery_metrics,
                    scs_generate, scs_problem, ssr_generate, ssr_problem)
-from .baseline import (ApgConfig, hessian_operator, lipschitz_estimate,
-                       solve_apg, solve_apg_homotopy, svt)
+from .baseline import (ApgConfig, lipschitz_estimate, solve_apg,
+                       solve_apg_homotopy, svt)
 from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
                   lam_stages, local_search, rank_estimate, recover_y, solve,
                   solve_homotopy, structured_rank)
-from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_eigenvalue,
-                     top_singular_pair, unvec, vec)
+from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_singular_pair,
+                     unvec, vec)
 from .objective import (FactorPair, PenaltyProblem, StepModel,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
                         grad_f, phi_value, psi_value, step_model)
 from .structure import (RecoveryMode, StructureSpec, apply_structure,
-                        block_hankel_spec, build_B, build_C, from_json,
-                        hankel_spec, project_to_image, read_parameters,
-                        to_json, two_fold_hankel_spec)
+                        block_hankel_spec, build_B, build_C,
+                        constraint_gram_norm, from_json, hankel_spec,
+                        project_to_image, read_parameters, to_json,
+                        two_fold_hankel_spec)
 
 __version__ = "0.1.0"

@@ -144,10 +144,11 @@ def _run_solver(prob, args):
     return factors.product(), trace
 
 
-def _write_run_outputs(out_dir, trace: SolveTrace, args):
+def _write_run_outputs(out_dir, trace: SolveTrace, args, extra=None):
     os.makedirs(out_dir, exist_ok=True)
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     summary = trace.summary(args.solver, args.seed)
+    summary.update(extra or {})
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -158,7 +159,7 @@ def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
     """Generate, assemble and solve one instance; write and print the outputs.
 
     ``finish(prob, data, x, out_dir)`` may write more files; the fields it
-    returns join the printed summary.
+    returns join the summary, both in ``summary.json`` and on stdout.
     """
     try:
         data = generate(cfg)
@@ -177,8 +178,7 @@ def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
         print(f"diverged: {exc}", file=sys.stderr)
         return 1
     extra = finish(prob, data, x, out_dir) if finish else {}
-    summary = _write_run_outputs(out_dir, trace, args)
-    summary.update(extra)
+    summary = _write_run_outputs(out_dir, trace, args, extra)
     print(json.dumps(summary, sort_keys=True))
     return 0
 

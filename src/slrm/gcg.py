@@ -150,16 +150,9 @@ class SolveTrace:
         }
 
 
-def rank_estimate(singular_values, threshold=1e-3, relative=False):
-    """Number of singular values strictly above the threshold.
-
-    The threshold is absolute by default; ``relative=True`` rescales it by
-    the largest singular value instead.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    if relative and s.size:
-        threshold = threshold * float(s.max())
-    return int(np.sum(s > threshold))
+def rank_estimate(singular_values, threshold=1e-3):
+    """Number of singular values strictly above the (absolute) threshold."""
+    return int(np.sum(np.asarray(singular_values, dtype=float) > threshold))
 
 
 def recover_y(prob: PenaltyProblem, factors: FactorPair):

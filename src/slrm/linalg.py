@@ -200,11 +200,6 @@ class TopSingularPair:
     iterations: int = 0
 
 
-def _random_unit(rng, n):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
     """Leading singular triplet of an operator, by ARPACK ``svds(k=1)``.
 
@@ -234,7 +229,8 @@ def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
     # operator, on which ARPACK fails, and solves a single row or column,
     # which svds rejects (it needs k < min(m, n)).
     left = m < n
-    start = _random_unit(np.random.default_rng(seed), min(m, n))
+    start = np.random.default_rng(seed).standard_normal(min(m, n))
+    start /= np.linalg.norm(start)
     w = op.rmatvec(start) if left else op.matvec(start)
     sigma = float(np.linalg.norm(w))
     degenerate = sigma == 0.0
@@ -252,40 +248,3 @@ def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
     u, v = (start, other) if left else (other, start)
     return TopSingularPair(sigma, u, v, converged, degenerate=degenerate,
                            iterations=products)
-
-
-@dataclass
-class TopEigenvalue:
-    value: float
-    vector: np.ndarray
-    converged: bool
-    degenerate: bool = False
-    iterations: int = 0
-
-
-def top_eigenvalue(a, tol=1e-8, max_iter=500, seed=0):
-    """Dominant eigenvalue of a symmetric operator by power iteration.
-
-    Stops when ``|A v - lam v| <= tol * |lam|``; for symmetric input that
-    bounds the eigenvalue error by the same amount.
-    """
-    op = as_operator(a)
-    m, n = op.shape
-    if m != n:
-        raise ValueError("top_eigenvalue needs a square operator")
-    if n <= 0:
-        raise ValueError("operator must have positive dimensions")
-    rng = np.random.default_rng(seed)
-    v = _random_unit(rng, n)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = op.matvec(v)
-        lam = float(v @ w)
-        res = float(np.linalg.norm(w - lam * v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return TopEigenvalue(0.0, v, True, degenerate=True, iterations=it)
-        if res <= tol * abs(lam):
-            return TopEigenvalue(lam, v, True, iterations=it)
-        v = w / nw
-    return TopEigenvalue(lam, v, False, iterations=max_iter)

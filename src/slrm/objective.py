@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import SparseMatrix, sparse_matmul, spmv, spmv_t, unvec, vec
-from .structure import RecoveryMode, StructureSpec, build_B, build_C
+from .structure import StructureSpec, build_B, build_C
 
 
 class UnboundedDirectionError(RuntimeError):
@@ -94,13 +94,13 @@ class PenaltyProblem:
         return out
 
 
-def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam, mu,
-             recovery: RecoveryMode = RecoveryMode.PROJECTION) -> PenaltyProblem:
+def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
+             mu) -> PenaltyProblem:
     """Build a PenaltyProblem from a structure, an observation map, and data.
 
     ``observation`` has one row per observed scalar and ``spec.n_params``
-    columns.  The product AC = S @ C is formed once and checked against the
-    two-step application on a handful of random probes.
+    columns.  C is the averaging recovery matrix, and the product
+    AC = S @ C is formed once.
     """
     target = np.asarray(target, dtype=float)
     if lam < 0:
@@ -114,16 +114,8 @@ def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam, mu,
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
     b_mat = build_B(spec)
-    c_mat = build_C(spec, recovery)
+    c_mat = build_C(spec)
     ac = sparse_matmul(observation, c_mat)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.standard_normal(c_mat.n_cols)
-        direct = spmv(ac, x)
-        two_step = spmv(observation, spmv(c_mat, x))
-        scale = max(1.0, float(np.linalg.norm(two_step)))
-        if np.linalg.norm(direct - two_step) > 1e-12 * scale:
-            raise AssertionError("AC product disagrees with S @ (C x) on a probe")
     return PenaltyProblem(spec.rows, spec.cols, observation, target,
                           b_mat, c_mat, ac, float(lam), float(mu), spec)
 

@@ -199,6 +199,18 @@ def build_B(spec: StructureSpec) -> SparseMatrix:
     )
 
 
+def constraint_gram_norm(spec: StructureSpec) -> float:
+    """Largest eigenvalue of B^T B for ``B = build_B(spec)``, in closed form.
+
+    B^T B is block diagonal: the Laplacian of a path over each support's
+    positions, and the identity on the forced zeros.  A path on n nodes
+    has top eigenvalue 2 + 2 cos(pi / n).
+    """
+    sizes = spec.support_sizes[spec.support_sizes > 1]
+    top = float(np.max(2.0 + 2.0 * np.cos(np.pi / sizes))) if sizes.size else 0.0
+    return max(top, 1.0) if spec.zero_positions.size else top
+
+
 def build_C(spec: StructureSpec, mode: RecoveryMode = RecoveryMode.PROJECTION) -> SparseMatrix:
     """Sparse recovery matrix with ``C @ vec(Q(y)) == y``.
 

@@ -3,7 +3,8 @@ import pytest
 
 from slrm.apps import _selection_matrix
 from slrm.objective import assemble
-from slrm.structure import hankel_spec
+from slrm.structure import (StructureSpec, block_hankel_spec, hankel_spec,
+                            two_fold_hankel_spec)
 
 
 def random_hankel_problem(rng, j=None, k=None, lam=0.7, mu=0.3, frac=1.0):
@@ -33,4 +34,19 @@ def spectral_test_matrices(rng):
         "rank_deficient_tall": low.T,
         "zero": np.zeros((4, 9)),
         "single_row": rng.standard_normal((1, 8)),
+    }
+
+
+def assorted_specs():
+    """Specs covering each builder, forced zeros and uncovered positions, by name."""
+    h = hankel_spec(3, 4)
+    return {
+        "hankel": hankel_spec(4, 5),
+        "hankel_one_row": hankel_spec(1, 4),            # singletons only: B is empty
+        "block_hankel": block_hankel_spec(2, 3, 3, 2),
+        "two_fold": two_fold_hankel_spec(5, 6, 3, 4),
+        "zeros_and_singletons": StructureSpec(2, 2, ([0], [3]), zero_positions=[1, 2]),
+        # first anti-diagonal forced to zero, last one left free of any support
+        "zeros_and_gaps": StructureSpec(3, 4, h.supports[1:-1],
+                                        zero_positions=h.supports[0]),
     }

@@ -83,6 +83,17 @@ SSR_SMALL = ["ssr", "--n", "2", "--r", "1", "--j", "3", "--k", "3",
              "--T", "150", "--max-iter", "3"]
 
 
+def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
+    # the grid error computed after the solve lands in summary.json too
+    out = str(tmp_path / "run")
+    assert cli.main(SCS_SMALL + ["--out", out]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    with open(os.path.join(out, "summary.json")) as fh:
+        written = json.load(fh)
+    assert written["normalized_error"] == printed["normalized_error"]
+    assert written == printed
+
+
 @pytest.mark.parametrize("argv", [
     SCS_SMALL + ["--snr", "0"],
     SCS_SMALL + ["--snr", "0", "--solver", "apg-svt"],

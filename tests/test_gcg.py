@@ -34,15 +34,6 @@ def test_rank_estimate_counts_strictly_above():
     assert rank_estimate([], 1e-3) == 0
 
 
-def test_rank_estimate_relative_rescales_by_top_value():
-    s = np.array([200.0, 1.0, 0.1])
-    assert rank_estimate(s, 1e-3) == 3              # absolute: all above 1e-3
-    assert rank_estimate(s, 1e-3, relative=True) == 2   # cutoff becomes 0.2
-    assert rank_estimate([], 1e-3, relative=True) == 0
-    # scale invariance of the relative form
-    assert rank_estimate(1e-6 * s, 1e-3, relative=True) == 2
-
-
 def test_recover_y_matches_sparse_product(rng):
     prob = random_hankel_problem(rng, j=4, k=5)
     for r in (0, 1, 3, 10):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slrm.linalg import (SparseMatrix, as_operator, dense_svd,
                          singular_values, sparse_matmul, spmv, spmv_t,
-                         top_eigenvalue, top_singular_pair, unvec, vec)
+                         top_singular_pair, unvec, vec)
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
 from conftest import spectral_test_matrices
@@ -192,20 +192,3 @@ def test_top_singular_pair_restart_path(rng):
 def test_top_singular_pair_input_checks():
     with pytest.raises(ValueError):
         top_singular_pair(np.zeros((0, 3)))
-
-
-def test_top_eigenvalue_matches_dense(rng):
-    for _ in range(5):
-        b = rng.standard_normal((12, 12))
-        a = b @ b.T
-        res = top_eigenvalue(a, seed=0)
-        want = float(np.linalg.eigvalsh(a)[-1])
-        assert res.converged
-        assert abs(res.value - want) <= 1e-6 * want
-
-
-def test_top_eigenvalue_checks_square():
-    with pytest.raises(ValueError):
-        top_eigenvalue(np.zeros((2, 3)))
-    res = top_eigenvalue(np.zeros((3, 3)), seed=0)
-    assert res.degenerate and res.value == 0.0

@@ -13,7 +13,7 @@ from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
                             assemble, f_value,
                             factor_nuclear_norm, factor_svd, grad_f, phi_value,
                             psi_value, smooth_terms, step_model)
-from slrm.structure import RecoveryMode, build_B, build_C, hankel_spec
+from slrm.structure import build_B, build_C, hankel_spec
 
 from conftest import random_hankel_problem
 
@@ -83,11 +83,10 @@ def test_assemble_wires_the_pieces(rng):
     idx = np.array([0, 2, 5])
     sel = _selection_matrix(idx, spec.n_params)
     y = rng.standard_normal(3)
-    prob = assemble(spec, sel, y, lam=0.5, mu=0.2, recovery=RecoveryMode.SPARSE)
+    prob = assemble(spec, sel, y, lam=0.5, mu=0.2)
     np.testing.assert_array_equal(prob.target, y)
     np.testing.assert_array_equal(prob.B.to_dense(), build_B(spec).to_dense())
-    np.testing.assert_array_equal(
-        prob.C.to_dense(), build_C(spec, RecoveryMode.SPARSE).to_dense())
+    np.testing.assert_array_equal(prob.C.to_dense(), build_C(spec).to_dense())
     np.testing.assert_allclose(
         prob.AC.to_dense(), sel.to_dense() @ prob.C.to_dense(), atol=1e-14)
     assert prob.size == spec.rows * spec.cols

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from slrm.linalg import unvec, vec
 from slrm.structure import (RecoveryMode, StructureSpec, apply_structure,
-                            block_hankel_spec, build_B, build_C, from_json,
-                            hankel_spec, project_to_image, read_parameters,
-                            to_json, two_fold_hankel_spec)
+                            block_hankel_spec, build_B, build_C,
+                            constraint_gram_norm, from_json, hankel_spec,
+                            project_to_image, read_parameters, to_json,
+                            two_fold_hankel_spec)
+
+from conftest import assorted_specs
 
 
 def test_hankel_entries():
@@ -113,6 +116,17 @@ def test_kernel_of_B_is_exactly_the_image(seed):
     x = rng.standard_normal((spec.rows, spec.cols))
     xp = project_to_image(spec, x)
     assert np.max(np.abs(b @ vec(xp))) <= 1e-12 if b.size else True
+
+
+def test_constraint_gram_norm_is_the_top_eigenvalue_of_BtB():
+    rng = np.random.default_rng(5)
+    specs = list(assorted_specs().items())
+    specs += [(f"random_{i}", _random_spec(rng)) for i in range(20)]
+    for name, spec in specs:
+        b = build_B(spec).to_dense()
+        want = np.linalg.eigvalsh(b.T @ b)[-1]
+        np.testing.assert_allclose(constraint_gram_norm(spec), want, rtol=1e-12,
+                                   atol=1e-14, err_msg=name)
 
 
 def test_B_row_count_and_values():
