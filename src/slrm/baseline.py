@@ -27,8 +27,8 @@ from .structure import constraint_gram_norm
 class ApgConfig(SolverConfig):
     """Proximal-gradient settings: only the ones both solvers share.
 
-    The rank column is always the structured rank of Q(C x), and the step
-    is 1 / ``lipschitz_estimate``.  APG draws nothing at random: ``seed``
+    The step is 1 / ``lipschitz_estimate``, and the rank column is read once
+    per solve (see ``solve_apg``).  APG draws nothing at random: ``seed``
     changes no result and is kept so one set of arguments fits both solvers.
     """
 
@@ -76,7 +76,10 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
 
     The trace shares the conditional-gradient schema; here psi equals phi,
     theta is 0, sigma_top is the iterate's largest singular value, and
-    factor_rank counts the singular values surviving the threshold.
+    factor_rank counts the singular values surviving the threshold.  The
+    structured rank of Q(C x) is a read-out, not part of the iteration: it
+    is taken once, for the returned iterate, and stored on the final row;
+    earlier rows read -1 (not read).
     """
     if config is None:
         config = ApgConfig()
@@ -102,15 +105,15 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         grad = _grad_vec(prob, vec(y))
         x_new, s_vals = _svt_with_values(y - step * unvec(grad, prob.rows, prob.cols), tau)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x_prev)
+        step_x = x_new - x_prev
+        y = x_new + ((t_mom - 1.0) / t_new) * step_x
 
         f_smooth, sqloss, _ = smooth_terms(prob, vec(x_new))
         phi = f_smooth + prob.mu * float(s_vals.sum())
         if not np.isfinite(phi):
             trace.wall_time_s = time.perf_counter() - t0
             raise DivergedError(f"non-finite objective at iteration {k}", trace)
-        rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_new)))
-        dx = float(np.linalg.norm(x_new - x_prev))
+        dx = float(np.linalg.norm(step_x))
         trace.records.append(TraceRecord(
             iteration=k,
             time_s=time.perf_counter() - t0,
@@ -120,7 +123,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             psi=phi,
             theta=0.0,
             sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
-            rank=rank,
+            rank=-1,  # not read; the final row's is set after the loop
             factor_rank=int(np.sum(s_vals > 0.0)),
         ))
         reason = config.stop_reason(dx, phi, phi_prev)  # no tol_obj at k = 1
@@ -129,6 +132,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             trace.converged_reason = reason
             break
 
+    trace.records[-1].rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_prev)))
     trace.wall_time_s = time.perf_counter() - t0
     return x_prev, trace
 

@@ -120,18 +120,11 @@ class SparseMatrix:
     def from_dense(cls, a):
         return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=float)))
 
-    @classmethod
-    def eye(cls, n):
-        return cls.from_scipy(sp.eye(n, format="csr"))
-
     def to_scipy(self):
         return self._csr
 
     def to_dense(self):
         return self._csr.toarray()
-
-    def transpose(self):
-        return SparseMatrix.from_scipy(self._csr.T)
 
 
 def spmv(a: SparseMatrix, x):

@@ -5,11 +5,11 @@ import pytest
 from dataclasses import replace
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from slrm import apps
+from slrm import apps, baseline
 from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
-from slrm.gcg import DivergedError, GcgConfig, solve
-from slrm.linalg import SparseMatrix, vec
+from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank_of
+from slrm.linalg import SparseMatrix, spmv, vec
 from slrm.objective import _hess_vec, assemble, smooth_terms
 from slrm.structure import hankel_spec
 
@@ -198,3 +198,26 @@ def test_trace_schema_matches_factored_solver(rng):
     assert rec.psi == rec.phi          # no surrogate gap for a dense iterate
     assert rec.theta == 0.0
     assert rec.sigma_top >= 0.0
+
+
+def test_apg_reads_the_structured_rank_once(monkeypatch):
+    # the rank is a read-out of the returned iterate, not part of an
+    # iteration: one call per solve_apg, so one per continuation stage
+    cfg = apps.SsrConfig(n=2, r=2, j=6, k=8, T=2000, sigma=0.05, seed=7)
+    prob = apps.ssr_problem(cfg, apps.ssr_generate(cfg), mu=0.1, lam=1.0)
+    calls = []
+
+    def spy(spec, y, *args):
+        calls.append(y)
+        return structured_rank_of(spec, y, *args)
+
+    monkeypatch.setattr(baseline, "structured_rank_of", spy)
+    x, trace = solve_apg_homotopy(prob, ApgConfig.oracle(40))
+    assert len(calls) == 3                     # lam = 1, 10, 100
+    np.testing.assert_array_equal(calls[-1], spmv(prob.C, vec(x)))
+    assert trace.records[-1].rank == structured_rank_of(prob.spec, spmv(prob.C, vec(x)))
+    assert trace.records[-1].rank > 0
+    header, *rows = trace.to_csv().splitlines()
+    col = header.split(",").index("rank")
+    ranks = [row.split(",")[col] for row in rows]
+    assert ranks == ["-1"] * 39 + [str(trace.records[-1].rank)]
