@@ -7,8 +7,8 @@ solver.  An APG baseline with singular value thresholding serves as the
 dense reference.
 """
 
-from .apps import (ScsConfig, ScsData, SsrConfig, SsrData, recovery_metrics,
-                   scs_generate, scs_problem, ssr_generate, ssr_problem)
+from .apps import (ScsConfig, ScsData, SsrConfig, SsrData, scs_generate,
+                   scs_problem, ssr_generate, ssr_problem)
 from .baseline import (ApgConfig, lipschitz_estimate, solve_apg,
                        solve_apg_homotopy, svt)
 from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
@@ -21,8 +21,7 @@ from .objective import (FactorPair, PenaltyProblem, StepModel,
                         grad_f, phi_value, psi_value, step_model)
 from .structure import (RecoveryMode, StructureSpec, apply_structure,
                         block_hankel_spec, build_B, build_C,
-                        constraint_gram_norm, from_json, hankel_spec,
-                        project_to_image, read_parameters, to_json,
+                        constraint_gram_norm, hankel_spec, project_to_image,
                         two_fold_hankel_spec)
 
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import SparseMatrix, vec
-from .objective import FactorPair, PenaltyProblem, assemble, smooth_terms
-from .gcg import structured_rank_of
-from .structure import StructureSpec, block_hankel_spec, two_fold_hankel_spec
+from .objective import PenaltyProblem, assemble
+from .structure import block_hankel_spec, two_fold_hankel_spec
 
 # substream ids
 _STREAM_SYSTEM = 0
@@ -51,7 +50,7 @@ class SsrConfig:
 class SsrData:
     v: np.ndarray               # (j+k-1, n, n) covariance blocks, zero where unobserved
     w: np.ndarray               # (j+k-1,) 0/1 block observation mask
-    true_system: Optional[tuple] = None   # (D, E, F), absent after CSV reload
+    true_system: Optional[tuple] = None   # (D, E, F) that generated v, if known
 
 
 class ScsData(NamedTuple):
@@ -138,9 +137,8 @@ def ssr_generate(cfg: SsrConfig) -> SsrData:
 
 def _selection_matrix(indices, width):
     indices = np.asarray(indices, dtype=np.int64)
-    return SparseMatrix(indices.size, width,
-                        np.arange(indices.size + 1, dtype=np.int64),
-                        indices, np.ones(indices.size))
+    return SparseMatrix((np.ones(indices.size), indices,
+                         np.arange(indices.size + 1)), shape=(indices.size, width))
 
 
 def ssr_problem(cfg: SsrConfig, data: SsrData, mu, lam=1.0) -> PenaltyProblem:
@@ -214,22 +212,6 @@ def scs_problem(cfg: ScsConfig, data: ScsData, mu, lam=1.0) -> PenaltyProblem:
                     lam, mu)
 
 
-def recovery_metrics(y_true, y_hat, factors: FactorPair, spec: StructureSpec,
-                     prob: PenaltyProblem | None = None):
-    """Normalized error, structured rank of the recovery, and data misfit."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y_hat.size != spec.n_params:
-        raise ValueError("recovered parameter count does not match the structure")
-    err = float(np.linalg.norm(y_hat - y_true) / np.linalg.norm(y_true))
-    rank = structured_rank_of(spec, vec(y_hat) if y_hat.ndim == 2 else y_hat)
-    out = {"normalized_error": err, "structured_rank": rank}
-    if prob is not None:
-        _, sqloss, _ = smooth_terms(prob, vec(factors.product()))
-        out["square_loss"] = float(sqloss)
-    return out
-
-
 def save_ssr_data(path, data: SsrData):
     """Covariance blocks as CSV rows (block, row, col, value, observed)."""
     with open(path, "w", newline="") as fh:
@@ -241,23 +223,6 @@ def save_ssr_data(path, data: SsrData):
                 for cc in range(n):
                     writer.writerow([t, rr, cc, repr(float(data.v[t, rr, cc])),
                                      int(data.w[t])])
-
-
-def load_ssr_data(path) -> SsrData:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["block"]), int(rec["row"]), int(rec["col"]),
-                         float(rec["value"]), int(rec["observed"])))
-    n_blocks = max(r[0] for r in rows) + 1
-    n = max(r[1] for r in rows) + 1
-    v = np.zeros((n_blocks, n, n))
-    w = np.zeros(n_blocks)
-    for t, rr, cc, val, obs in rows:
-        v[t, rr, cc] = val
-        if obs:
-            w[t] = 1.0
-    return SsrData(v=v, w=w, true_system=None)
 
 
 def save_scs_data(path, data: ScsData):
@@ -275,21 +240,3 @@ def save_scs_data(path, data: ScsData):
                                  int(mask[rr, cc]),
                                  repr(float(data.observed[rr, cc]))])
 
-
-def load_scs_data(path) -> ScsData:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["row"]), int(rec["col"]), float(rec["value"]),
-                         int(rec["observed"]), float(rec["observed_value"])))
-    n1 = max(r[0] for r in rows) + 1
-    n2 = max(r[1] for r in rows) + 1
-    signal = np.zeros((n1, n2))
-    observed = np.zeros((n1, n2))
-    mask = np.zeros((n1, n2), dtype=bool)
-    for rr, cc, val, obs, oval in rows:
-        signal[rr, cc] = val
-        observed[rr, cc] = oval
-        mask[rr, cc] = bool(obs)
-    omega = np.flatnonzero(mask.ravel(order="F"))
-    return ScsData(signal=signal, omega=omega, observed=observed)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcg import (DivergedError, SolverConfig, SolveTrace, TraceRecord,
-                  _continuation, structured_rank_of)
+from .gcg import (SolverConfig, SolveTrace, TraceRecord, _continuation,
+                  structured_rank_of)
 from .linalg import _wide_core, dense_svd, spmv, unvec, vec
 from .objective import PenaltyProblem, _grad_vec, smooth_terms
 from .structure import constraint_gram_norm
@@ -99,7 +99,6 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     t_mom = 1.0
     phi_prev = None
     trace = SolveTrace()
-    trace.converged_reason = "max_iter"
 
     for k in range(1, config.max_iter + 1):
         grad = _grad_vec(prob, vec(y))
@@ -111,8 +110,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         f_smooth, sqloss, _ = smooth_terms(prob, vec(x_new))
         phi = f_smooth + prob.mu * float(s_vals.sum())
         if not np.isfinite(phi):
-            trace.wall_time_s = time.perf_counter() - t0
-            raise DivergedError(f"non-finite objective at iteration {k}", trace)
+            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
         dx = float(np.linalg.norm(step_x))
         trace.records.append(TraceRecord(
             iteration=k,

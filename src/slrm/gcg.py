@@ -109,8 +109,14 @@ class TraceRecord:
 @dataclass
 class SolveTrace:
     records: list = field(default_factory=list)
-    converged_reason: str = ""
+    converged_reason: str = "max_iter"
     wall_time_s: float = 0.0
+
+    def diverged(self, message, t0):
+        """Mark the run diverged, stamp the time since t0; the error to raise."""
+        self.converged_reason = "diverged"
+        self.wall_time_s = time.perf_counter() - t0
+        return DivergedError(message, self)
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
@@ -322,11 +328,10 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     trace = SolveTrace()
     psi_prev = psi_value(prob, factors)
     if not np.isfinite(psi_prev):  # checked before phi: its SVD needs finite factors
-        raise DivergedError("non-finite objective at the initial point", trace)
+        raise trace.diverged("non-finite objective at the initial point", t0)
     if config.recompress:
         factors, psi_prev = _recompressed(prob, factors, psi_prev)
     phi_prev = phi_value(prob, factors)
-    trace.converged_reason = "max_iter"
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors)
@@ -345,15 +350,13 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             # no move raises psi beyond rounding, so only rounding gets here
             cand, psi_cand, theta = factors, psi_prev, 0.0
         if not np.isfinite(psi_cand):
-            trace.wall_time_s = time.perf_counter() - t0
-            raise DivergedError(f"non-finite objective at iteration {k}", trace)
+            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
 
         x = vec(cand.product())
         f_smooth, sqloss, _ = smooth_terms(prob, x)
         phi = f_smooth + prob.mu * factor_nuclear_norm(cand)
-        if not np.isfinite(phi) or not np.isfinite(psi_cand):
-            trace.wall_time_s = time.perf_counter() - t0
-            raise DivergedError(f"non-finite objective at iteration {k}", trace)
+        if not np.isfinite(phi):
+            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
         if config.track_structured_rank:
             rank = structured_rank(prob, cand)
         else:

@@ -1,4 +1,4 @@
-"""Sparse matrices, operator views, and iterative spectral routines.
+"""The sparse-matrix handle, vectorization, and spectral routines.
 
 Everything here is deterministic given an integer seed; the solvers rely on
 that for reproducible traces.
@@ -28,70 +28,32 @@ def unvec(x, rows, cols):
     return x.reshape((rows, cols), order="F")
 
 
-@dataclass(eq=False)
 class SparseMatrix:
-    """CSR matrix with explicit offset/index/value arrays.
+    """Immutable handle on one canonical ``scipy.sparse.csr_matrix``.
 
-    Invariants: ``row_offsets`` is non-decreasing with ``row_offsets[0] == 0``
-    and ``row_offsets[-1] == len(values)``; column indices are strictly
-    increasing within each row; all values are finite.
-
-    Immutable once built: the scipy CSR form, its adjoint view and the Gram
-    matrix ``A^T A`` are each built on first use and cached, so changing the
-    arrays afterwards would leave those stale.
+    ``a`` is anything ``csr_matrix`` accepts: a sparse matrix, a dense array,
+    a ``(data, (row, col))`` triplet, ``(data, indices, indptr)`` or a shape.
+    The input is copied and checked in full (every index in range, offsets
+    non-decreasing), duplicates are summed, indices sorted, and non-finite
+    values rejected.  The adjoint view and the Gram matrix ``A^T A`` are built
+    on first use and cached, so the matrix must not change afterwards.
     """
 
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        self.validate()
-
-    def validate(self):
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("negative dimensions")
-        if self.row_offsets.shape != (self.n_rows + 1,):
-            raise ValueError("row_offsets must have length n_rows + 1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.values.size:
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be non-decreasing")
-        if self.col_indices.shape != self.values.shape:
-            raise ValueError("col_indices and values must have equal length")
-        if self.col_indices.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            # strict increase inside every row; boundaries may reset.  Empty
-            # rows put offsets at 0 or nnz, which bound no adjacent pair.
-            inc = np.diff(self.col_indices) <= 0
-            inner = np.ones(self.col_indices.size - 1, dtype=bool)
-            cuts = self.row_offsets[1:-1]
-            inner[cuts[(cuts > 0) & (cuts < self.values.size)] - 1] = False
-            if np.any(inc & inner):
-                raise ValueError("column indices must strictly increase within a row")
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, a, shape=None):
+        csr = sp.csr_matrix(a, shape=shape, dtype=float, copy=True)
+        # full_check is what rejects column indices outside [0, n_cols)
+        csr.check_format(full_check=True)
+        csr.sum_duplicates()
+        csr.sort_indices()
+        if not np.all(np.isfinite(csr.data)):
             raise ValueError("non-finite value in sparse matrix")
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
+        self._csr = csr
+        self.shape = csr.shape
+        self.n_rows, self.n_cols = csr.shape
 
     @property
     def nnz(self):
-        return int(self.values.size)
-
-    @cached_property
-    def _csr(self):
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
+        return int(self._csr.nnz)
 
     @cached_property
     def _adjoint(self):
@@ -101,24 +63,8 @@ class SparseMatrix:
 
     @cached_property
     def gram(self) -> SparseMatrix:
-        """``A^T A`` as a CSR SparseMatrix, built on first use."""
-        return SparseMatrix.from_scipy(self._adjoint @ self._csr)
-
-    @classmethod
-    def from_scipy(cls, a):
-        a = sp.csr_matrix(a)
-        a.sum_duplicates()
-        a.sort_indices()
-        return cls(a.shape[0], a.shape[1], a.indptr, a.indices, a.data)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=shape)
-        return cls.from_scipy(coo)
-
-    @classmethod
-    def from_dense(cls, a):
-        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=float)))
+        """``A^T A`` as a SparseMatrix, built on first use."""
+        return SparseMatrix(self._adjoint @ self._csr)
 
     def to_scipy(self):
         return self._csr
@@ -135,19 +81,6 @@ def spmv(a: SparseMatrix, x):
 def spmv_t(a: SparseMatrix, y):
     """Adjoint product ``a.T @ y``, through the matrix's cached CSC view."""
     return a._adjoint @ np.asarray(y, dtype=float)
-
-
-def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.n_cols != b.n_rows:
-        raise ValueError("inner dimensions do not match")
-    return SparseMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
-
-
-def as_operator(a):
-    """Scipy ``LinearOperator`` view of an ndarray, SparseMatrix or operator."""
-    if isinstance(a, SparseMatrix):
-        a = a.to_scipy()
-    return aslinearoperator(a)
 
 
 def dense_svd(a):
@@ -194,16 +127,18 @@ class TopSingularPair:
 
 
 def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
-    """Leading singular triplet of an operator, by ARPACK ``svds(k=1)``.
+    """Leading singular triplet, by ARPACK ``svds(k=1)``.
 
-    ``tol`` and ``max_iter`` are svds's ``tol`` and ``maxiter``.  The start
-    vector is drawn from ``seed``, so the result is deterministic, and
-    ``iterations`` counts products with the operator or its adjoint.  When
-    the budget runs out, ``converged`` is False and ``sigma`` is the norm of
-    the first product, with the unit start vector: a lower bound.  A zero
-    operator gives ``degenerate``, ``sigma`` 0 and arbitrary unit vectors.
+    ``a`` is anything ``aslinearoperator`` takes: an ndarray, a scipy sparse
+    matrix or a ``LinearOperator``.  ``tol`` and ``max_iter`` are svds's
+    ``tol`` and ``maxiter``.  The start vector is drawn from ``seed``, so the
+    result is deterministic, and ``iterations`` counts products with the
+    operator or its adjoint.  When the budget runs out, ``converged`` is
+    False and ``sigma`` is the norm of the first product, with the unit start
+    vector: a lower bound.  A zero operator gives ``degenerate``, ``sigma`` 0
+    and arbitrary unit vectors.
     """
-    a = as_operator(a)
+    a = aslinearoperator(a)
     m, n = a.shape
     if m <= 0 or n <= 0:
         raise ValueError("operator must have positive dimensions")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SparseMatrix, sparse_matmul, spmv, spmv_t, unvec, vec
+from .linalg import SparseMatrix, spmv, spmv_t, unvec, vec
 from .structure import StructureSpec, build_B, build_C
 
 
@@ -103,10 +103,10 @@ def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
     AC = S @ C is formed once.
     """
     target = np.asarray(target, dtype=float)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be non-negative and finite")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     if observation.n_cols != spec.n_params:
         raise ValueError("observation width must match the parameter count")
     if target.shape != (observation.n_rows,):
@@ -115,7 +115,7 @@ def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
         raise ValueError("target must be finite")
     b_mat = build_B(spec)
     c_mat = build_C(spec)
-    ac = sparse_matmul(observation, c_mat)
+    ac = SparseMatrix(observation.to_scipy() @ c_mat.to_scipy())
     return PenaltyProblem(spec.rows, spec.cols, observation, target,
                           b_mat, c_mat, ac, float(lam), float(mu), spec)
 

@@ -10,14 +10,13 @@ column-major over the full matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import SparseMatrix, unvec, vec
+from .linalg import SparseMatrix, spmv, unvec, vec
 
 
 class RecoveryMode(Enum):
@@ -176,8 +175,7 @@ def build_B(spec: StructureSpec) -> SparseMatrix:
     n_pairs = sum(h.size for h in heads)
     n_rows = n_pairs + spec.zero_positions.size
     if n_rows == 0:
-        return SparseMatrix(0, size, np.zeros(1, dtype=np.int64),
-                            np.empty(0, dtype=np.int64), np.empty(0))
+        return SparseMatrix((0, size))
     rows_idx = []
     cols_idx = []
     vals = []
@@ -193,9 +191,9 @@ def build_B(spec: StructureSpec) -> SparseMatrix:
         rows_idx.append(zr)
         cols_idx.append(spec.zero_positions)
         vals.append(np.ones(spec.zero_positions.size))
-    return SparseMatrix.from_coo(
-        np.concatenate(rows_idx), np.concatenate(cols_idx), np.concatenate(vals),
-        (n_rows, size),
+    return SparseMatrix(
+        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=(n_rows, size),
     )
 
 
@@ -230,7 +228,7 @@ def build_C(spec: StructureSpec, mode: RecoveryMode = RecoveryMode.PROJECTION) -
         vals = np.ones(spec.n_params)
     else:
         raise ValueError(f"unknown recovery mode: {mode!r}")
-    return SparseMatrix.from_coo(rows_idx, cols_idx, vals, (spec.n_params, size))
+    return SparseMatrix((vals, (rows_idx, cols_idx)), shape=(spec.n_params, size))
 
 
 def apply_structure(spec: StructureSpec, y) -> np.ndarray:
@@ -243,43 +241,12 @@ def apply_structure(spec: StructureSpec, y) -> np.ndarray:
     return unvec(flat, spec.rows, spec.cols)
 
 
-def read_parameters(spec: StructureSpec, x) -> np.ndarray:
-    """Average of vec(X) over each support; equals ``C_proj @ vec(X)``."""
-    xf = vec(x) if np.ndim(x) == 2 else np.asarray(x, dtype=float)
-    if xf.size != spec.rows * spec.cols:
-        raise ValueError("size mismatch")
-    counts = spec.support_sizes
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sums = np.add.reduceat(xf[spec.support_positions], offsets)
-    return sums / counts
-
-
 def project_to_image(spec: StructureSpec, x) -> np.ndarray:
-    """Orthogonal projection of a dense matrix onto the structured image."""
+    """Orthogonal projection of a dense matrix onto the structured image.
+
+    It is Q(C x) with the averaging C of ``build_C``, the map the solvers use.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.rows, spec.cols):
         raise ValueError(f"expected shape {(spec.rows, spec.cols)}, got {x.shape}")
-    return apply_structure(spec, read_parameters(spec, x))
-
-
-def to_json(spec: StructureSpec) -> str:
-    doc = {
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "supports": [s.tolist() for s in spec.supports],
-        "zero_positions": spec.zero_positions.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def from_json(text: str) -> StructureSpec:
-    doc = json.loads(text)
-    try:
-        return StructureSpec(
-            int(doc["rows"]),
-            int(doc["cols"]),
-            tuple(doc["supports"]),
-            np.asarray(doc.get("zero_positions", []), dtype=np.int64),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field in structure document: {exc}") from exc
+    return apply_structure(spec, spmv(build_C(spec), vec(x)))

@@ -20,7 +20,7 @@ import pytest
 from slrm import apps, cli
 from slrm.baseline import ApgConfig, solve_apg_homotopy
 from slrm.gcg import GcgConfig, rank_estimate, recover_y, solve_homotopy
-from slrm.linalg import as_operator, spmv, top_singular_pair, unvec, vec
+from slrm.linalg import spmv, top_singular_pair, unvec, vec
 from slrm.objective import FactorPair, f_value, grad_f, step_model
 from slrm.structure import (RecoveryMode, apply_structure, block_hankel_spec,
                             build_B, build_C, hankel_spec, project_to_image,
@@ -145,7 +145,7 @@ def test_top_singular_pair_matches_dense_svd(capsys):
                  + 1e-6 * rng.standard_normal((m, n)))
         else:
             a = rng.standard_normal((m, n)) * np.logspace(0.0, -5.0, n)[None, :]
-        res = top_singular_pair(as_operator(a), tol=1e-10, max_iter=2000,
+        res = top_singular_pair(a, tol=1e-10, max_iter=2000,
                                 seed=int(rng.integers(2**31)))
         s_true = float(np.linalg.svd(a, compute_uv=False)[0])
         worst_sigma = max(worst_sigma, abs(res.sigma - s_true) / s_true)

@@ -1,16 +1,16 @@
 """Experiment harnesses: data generation, wiring, and round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from slrm.apps import (ScsConfig, SsrConfig, analytic_covariances,
-                       empirical_covariances, load_scs_data, load_ssr_data,
-                       random_system, recovery_metrics, save_scs_data,
+                       empirical_covariances, random_system, save_scs_data,
                        save_ssr_data, scs_generate, scs_problem,
                        simulate_outputs, sinusoid_grid, ssr_generate,
                        ssr_problem, substream)
-from slrm.linalg import unvec, vec
-from slrm.objective import FactorPair
+from slrm.linalg import vec
 from slrm.structure import apply_structure, two_fold_hankel_spec
 
 
@@ -142,25 +142,36 @@ def test_scs_problem_wires_observed_entries():
     assert prob.spec.n_params == 64
 
 
-def test_recovery_metrics(rng):
-    spec = two_fold_hankel_spec(6, 6, 3, 3)
-    y = rng.standard_normal(36)
-    fac = FactorPair.ones(spec.rows, spec.cols)
-    out = recovery_metrics(y, y, fac, spec)
-    assert out["normalized_error"] == 0.0
-    assert out["structured_rank"] >= 0
-    with pytest.raises(ValueError):
-        recovery_metrics(y, y[:-1], fac, spec)
+def _read_csv(path, shape, keys, fields):
+    """The ``fields`` columns of a CSV file as arrays indexed by ``keys``.
+
+    Unwritten cells stay NaN, so a bitwise comparison also proves every
+    cell was written.
+    """
+    out = {f: np.full(shape, np.nan) for f in fields}
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == np.prod(shape)
+    for rec in rows:
+        at = tuple(int(rec[k]) for k in keys)
+        for f in fields:
+            out[f][at] = float(rec[f])
+    return out
+
+
+def _assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_ssr_csv_roundtrip(tmp_path):
     data = ssr_generate(SsrConfig(n=2, r=1, j=3, k=2, T=50, seed=3))
     path = tmp_path / "cov.csv"
     save_ssr_data(path, data)
-    back = load_ssr_data(path)
-    np.testing.assert_allclose(back.v, data.v, atol=0)   # repr round trip is exact
-    np.testing.assert_array_equal(back.w, data.w)
-    assert back.true_system is None
+    back = _read_csv(path, data.v.shape, ("block", "row", "col"),
+                     ("value", "observed"))
+    _assert_bitwise_equal(back["value"], data.v)      # repr round trip is exact
+    _assert_bitwise_equal(back["observed"],
+                          np.broadcast_to(data.w[:, None, None], data.v.shape).copy())
 
 
 def test_scs_csv_roundtrip(tmp_path):
@@ -168,7 +179,8 @@ def test_scs_csv_roundtrip(tmp_path):
                                   obs_fraction=0.5, seed=9))
     path = tmp_path / "sig.csv"
     save_scs_data(path, data)
-    back = load_scs_data(path)
-    np.testing.assert_allclose(back.signal, data.signal, atol=0)
-    np.testing.assert_allclose(back.observed, data.observed, atol=0)
-    np.testing.assert_array_equal(back.omega, data.omega)
+    back = _read_csv(path, data.signal.shape, ("row", "col"),
+                     ("value", "observed", "observed_value"))
+    _assert_bitwise_equal(back["value"], data.signal)
+    _assert_bitwise_equal(back["observed_value"], data.observed)
+    np.testing.assert_array_equal(np.flatnonzero(vec(back["observed"])), data.omega)

@@ -118,8 +118,8 @@ def test_lipschitz_estimate_bounds_a_weighted_observation(rng):
     n_obs, n = 6, spec.n_params
     cols = np.concatenate([np.sort(rng.choice(n, size=2, replace=False))
                            for _ in range(n_obs)])
-    obs = SparseMatrix.from_coo(np.repeat(np.arange(n_obs), 2), cols,
-                                rng.standard_normal(2 * n_obs), (n_obs, n))
+    obs = SparseMatrix((rng.standard_normal(2 * n_obs),
+                        (np.repeat(np.arange(n_obs), 2), cols)), shape=(n_obs, n))
     for lam in (0.0, 0.8, 100.0):
         prob = assemble(spec, obs, rng.standard_normal(n_obs), lam=lam, mu=0.3)
         assert lipschitz_estimate(prob) >= _dense_hessian_top(prob) * (1.0 - 1e-12)
@@ -175,8 +175,10 @@ def test_apg_rejects_bad_init(rng):
     prob = random_hankel_problem(rng, j=3, k=3)
     with pytest.raises(ValueError):
         solve_apg(prob, init=np.zeros((2, 2)))
-    with np.errstate(all="ignore"), pytest.raises(DivergedError):
+    with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
         solve_apg(prob, init=np.full((3, 3), 1e200))
+    assert exc.value.trace.converged_reason == "diverged"
+    assert exc.value.trace.wall_time_s > 0.0
 
 
 def test_apg_homotopy_matches_manual_stages(rng):

@@ -102,8 +102,11 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SCS_SMALL + ["--obs", "inf"],
     SSR_SMALL + ["--mu", "0"],
     SSR_SMALL + ["--mu", "0.1", "--sigma", "nan"],
+    SSR_SMALL + ["--mu", "nan"],
+    SSR_SMALL + ["--mu", "0.1", "--lambda", "inf"],
+    SCS_SMALL + ["--lambda", "nan", "--solver", "apg-svt"],
 ], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
-     "ssr-sigma-nan"])
+     "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg"])
 def test_bad_experiment_parameters_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with warnings.catch_warnings():

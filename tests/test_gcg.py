@@ -251,8 +251,10 @@ def test_solve_rejects_bad_init(rng):
     prob = random_hankel_problem(rng, j=3, k=3)
     with pytest.raises(ValueError):
         solve(prob, init=FactorPair.ones(4, 3))
-    with pytest.raises(DivergedError):
+    with pytest.raises(DivergedError) as exc:
         solve(prob, init=FactorPair(np.full((3, 1), np.nan), np.ones((1, 3))))
+    assert exc.value.trace.converged_reason == "diverged"
+    assert exc.value.trace.records == []
 
 
 def test_solve_without_local_search_still_descends(rng):

@@ -62,10 +62,10 @@ def test_assemble_validation(rng):
     spec = hankel_spec(3, 3)
     sel = _selection_matrix(np.arange(spec.n_params), spec.n_params)
     y = rng.standard_normal(spec.n_params)
-    with pytest.raises(ValueError):
-        assemble(spec, sel, y, lam=-1.0, mu=0.1)
-    with pytest.raises(ValueError):
-        assemble(spec, sel, y, lam=1.0, mu=0.0)
+    for lam, mu in ((-1.0, 0.1), (1.0, 0.0), (np.nan, 0.1), (np.inf, 0.1),
+                    (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            assemble(spec, sel, y, lam=lam, mu=mu)
     with pytest.raises(ValueError):
         assemble(spec, sel, y[:-1], lam=1.0, mu=0.1)
     for value in (np.nan, np.inf, -np.inf):
@@ -128,7 +128,7 @@ def test_grad_and_hess_vec_match_dense(rng, lam):
     # the Gram-based products against H = AC^T AC + lam B^T B formed densely
     prob = random_hankel_problem(rng, j=3, k=4, lam=1.3, frac=0.6)
     if lam == "no B rows":
-        prob = replace(prob, B=SparseMatrix(0, prob.size, [0], [], []))
+        prob = replace(prob, B=SparseMatrix((0, prob.size)))
     else:
         prob = replace(prob, lam=lam)
     ac = prob.AC.to_dense()

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from slrm.linalg import unvec, vec
 from slrm.structure import (RecoveryMode, StructureSpec, apply_structure,
                             block_hankel_spec, build_B, build_C,
-                            constraint_gram_norm, from_json, hankel_spec,
-                            project_to_image, read_parameters, to_json,
-                            two_fold_hankel_spec)
+                            constraint_gram_norm, hankel_spec,
+                            project_to_image, two_fold_hankel_spec)
 
 from conftest import assorted_specs
 
@@ -193,14 +192,6 @@ def test_projection_idempotent(rng):
     np.testing.assert_allclose(project_to_image(spec, once), once, atol=1e-14)
 
 
-def test_read_parameters_matches_C(rng):
-    spec = block_hankel_spec(2, 2, 2, 3)
-    x = rng.standard_normal((spec.rows, spec.cols))
-    via_c = build_C(spec).to_scipy() @ vec(x)
-    np.testing.assert_allclose(read_parameters(spec, x), via_c, atol=1e-14)
-    np.testing.assert_allclose(read_parameters(spec, vec(x)), via_c, atol=1e-14)
-
-
 def test_cached_supports_are_read_only_and_match_the_loop():
     # parameter 0 on the diagonal, 1 and 2 above it, forced zeros below
     spec = StructureSpec(3, 3, ([0, 4, 8], [3, 7], [6]), zero_positions=[1, 2, 5])
@@ -217,9 +208,9 @@ def test_cached_supports_are_read_only_and_match_the_loop():
         want[s] = y[k]
     np.testing.assert_array_equal(vec(apply_structure(spec, y)), want)
     x = np.arange(9.0).reshape(3, 3) ** 2
-    np.testing.assert_array_equal(
-        read_parameters(spec, x),
-        [np.add.reduce(vec(x)[s]) / s.size for s in spec.supports])
+    np.testing.assert_array_equal(         # C weights each position by 1/size
+        build_C(spec).to_scipy() @ vec(x),
+        [np.add.reduce(vec(x)[s] * (1.0 / s.size)) for s in spec.supports])
 
 
 def test_sparse_mode_reads_first_occurrence():
@@ -230,20 +221,8 @@ def test_sparse_mode_reads_first_occurrence():
     np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
 
-def test_json_roundtrip():
-    spec = StructureSpec(3, 3, ([0, 4, 8], [1, 5], [2]), zero_positions=[3, 6])
-    back = from_json(to_json(spec))
-    assert back.rows == spec.rows and back.cols == spec.cols
-    assert all(np.array_equal(a, b) for a, b in zip(back.supports, spec.supports))
-    assert np.array_equal(back.zero_positions, spec.zero_positions)
-    with pytest.raises(ValueError):
-        from_json('{"rows": 2, "cols": 2}')
-
-
 def test_apply_structure_checks_length():
     with pytest.raises(ValueError):
         apply_structure(hankel_spec(2, 2), np.ones(5))
-    with pytest.raises(ValueError):
-        read_parameters(hankel_spec(2, 2), np.ones(5))
     with pytest.raises(ValueError):
         project_to_image(hankel_spec(2, 2), np.ones((3, 2)))
