@@ -132,16 +132,28 @@ def _apply_config_file(parser, subparsers, argv):
     return parser.parse_args(argv)
 
 
-def _run_solver(prob, args):
-    """(dense X, trace) of the chosen solver's continuation run."""
+def _solver_config(args):
+    """The chosen solver's config, validated; raises ValueError."""
     common = dict(max_iter=args.max_iter, seed=args.seed,
                   lam_growth=args.lam_growth, lam_max=args.lam_max)
-    if args.solver == "apg-svt":
-        return solve_apg_homotopy(prob, ApgConfig(**common))
     if args.solver == "gcg":
         common["local_search_max_steps"] = 0
-    factors, trace = solve_homotopy(prob, GcgConfig(**common))
+    config = ApgConfig(**common) if args.solver == "apg-svt" else GcgConfig(**common)
+    config.validate()
+    return config
+
+
+def _run_solver(prob, config):
+    """(dense X, trace) of the configured solver's continuation run."""
+    if isinstance(config, ApgConfig):
+        return solve_apg_homotopy(prob, config)
+    factors, trace = solve_homotopy(prob, config)
     return factors.product(), trace
+
+
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _write_run_outputs(out_dir, trace: SolveTrace, args, extra=None):
@@ -162,16 +174,16 @@ def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
     returns join the summary, both in ``summary.json`` and on stdout.
     """
     try:
+        config = _solver_config(args)
         data = generate(cfg)
         prob = problem(cfg, data, mu=args.mu, lam=args.lam)
-    except ValueError as exc:  # bad experiment parameters
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # bad solver or experiment parameters
+        return _usage_error(exc)
     out_dir = args.out or os.path.join("runs", args.command)
     os.makedirs(out_dir, exist_ok=True)
     save(os.path.join(out_dir, data_file), data)
     try:
-        x, trace = _run_solver(prob, args)
+        x, trace = _run_solver(prob, config)
     except DivergedError as exc:
         if exc.trace is not None:
             _write_run_outputs(out_dir, exc.trace, args)
@@ -241,13 +253,18 @@ def bench(sizes=DEFAULT_BENCH_SIZES, reps=3, iters=10, seed=0):
 
 
 def run_bench(args):
+    if args.reps < 1 or args.iters < 1:
+        return _usage_error("--reps and --iters must be at least 1")
     sizes = []
     for text in args.size or []:
-        parts = text.split(",")
-        if len(parts) != 4:
-            print(f"bad --size {text!r}: expected m,n,j,k", file=sys.stderr)
-            return 2
-        sizes.append(tuple(int(p) for p in parts))
+        try:
+            size = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            size = ()
+        if len(size) != 4 or min(size) < 1:
+            return _usage_error(f"bad --size {text!r}: expected four positive "
+                                "integers m,n,j,k")
+        sizes.append(size)
     rows = bench(sizes or DEFAULT_BENCH_SIZES, reps=args.reps, iters=args.iters,
                  seed=args.seed)
     lines = ["size,MN,time"]
@@ -291,7 +308,7 @@ def _selftest_checks(seed):
     def lanczos():
         for _ in range(8):
             a = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(2, 40))))
-            res = top_singular_pair(a, seed=int(rng.integers(2 ** 31)))
+            res = top_singular_pair(a)
             s = np.linalg.svd(a, compute_uv=False)
             if abs(res.sigma - s[0]) > 1e-7 * max(1.0, s[0]):
                 return False

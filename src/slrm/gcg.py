@@ -36,7 +36,10 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Settings both solvers share: iteration cap, stop rule, seed, continuation."""
+    """Settings both solvers share: iteration cap, stop rule, seed, continuation.
+
+    Neither solver draws at random, so ``seed`` changes no result.
+    """
 
     max_iter: int = 100
     tol_x: float = 1e-3            # stop when |X_k - X_{k-1}|_F drops below
@@ -75,11 +78,11 @@ class SolverConfig:
 class GcgConfig(SolverConfig):
     """Conditional-gradient settings.
 
-    The rest is fixed: atoms come from ``top_singular_pair`` at its ARPACK
-    defaults, the local search runs at most 10 CG steps per block solve and
-    stops below a 1e-4 relative improvement, the rank column counts values
-    above 1e-3, recompression drops values at or below 1e-10, and a step
-    that would raise psi past rounding is always held.
+    The rest is fixed: atoms are the exact top singular pair of -grad f,
+    the local search runs at most 10 CG steps per block solve and stops
+    below a 1e-4 relative improvement, the rank column counts values above
+    1e-3, recompression drops values at or below 1e-10, and a step that
+    would raise psi past rounding is always held.
     """
 
     local_search_max_steps: int = 5      # alternating sweeps per iteration
@@ -215,19 +218,19 @@ def _block_cg(apply_mat, rhs, x0, r0, max_iter, tol=1e-10):
     x = x0.copy()
     r = r0
     p = r.copy()
-    rs = float(np.sum(r * r))
-    floor = tol * max(1.0, float(np.sum(rhs * rhs)))
+    rs = float(np.vdot(r, r))
+    floor = tol * max(1.0, float(np.vdot(rhs, rhs)))
     for _ in range(max_iter):
         if rs <= floor:
             break
         ap = apply_mat(p)
-        denom = float(np.sum(p * ap))
+        denom = float(np.vdot(p, ap))
         if denom <= 0.0:
             break
         alpha = rs / denom
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(np.sum(r * r))
+        rs_new = float(np.vdot(r, r))
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x
@@ -263,7 +266,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
 
                 rhs = rhs_full @ v.T
                 res = rhs - apply_mat(u)
-                if float(np.sum(res * res)) > gtol2:
+                if float(np.vdot(res, res)) > gtol2:
                     u = _block_cg(apply_mat, rhs, u, res, cg_iters)
             else:
                 def apply_mat(vb, _u=u):
@@ -272,7 +275,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
 
                 rhs = u.T @ rhs_full
                 res = rhs - apply_mat(v)
-                if float(np.sum(res * res)) > gtol2:
+                if float(np.vdot(res, res)) > gtol2:
                     v = _block_cg(apply_mat, rhs, v, res, cg_iters)
             history.append(psi_value(prob, FactorPair(u, v)))
         psi_cur = history[-1]
@@ -307,10 +310,6 @@ def _frob_dist(a: FactorPair, b: FactorPair):
     return float(np.sqrt(max(0.0, taa + tbb - 2.0 * tab)))
 
 
-def _iteration_seed(seed, k):
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(1)[0])
-
-
 def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     """Run the conditional-gradient iteration; returns (factors, trace).
 
@@ -335,7 +334,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors)
-        pair = top_singular_pair(-g, seed=_iteration_seed(config.seed, k))
+        pair = top_singular_pair(-g)
         sigma_top = pair.sigma
         a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)

@@ -1,7 +1,7 @@
 """The sparse-matrix handle, vectorization, and spectral routines.
 
-Everything here is deterministic given an integer seed; the solvers rely on
-that for reproducible traces.
+Nothing here draws at random; the solvers rely on that for reproducible
+traces.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                 aslinearoperator, svds)
 
 
 def vec(x):
@@ -126,53 +125,37 @@ class TopSingularPair:
     iterations: int = 0
 
 
-def top_singular_pair(a, tol=1e-8, max_iter=500, seed=0):
-    """Leading singular triplet, by ARPACK ``svds(k=1)``.
+def top_singular_pair(a):
+    """Leading singular triplet of a dense matrix, from its short-side Gram.
 
-    ``a`` is anything ``aslinearoperator`` takes: an ndarray, a scipy sparse
-    matrix or a ``LinearOperator``.  ``tol`` and ``max_iter`` are svds's
-    ``tol`` and ``maxiter``.  The start vector is drawn from ``seed``, so the
-    result is deterministic, and ``iterations`` counts products with the
-    operator or its adjoint.  When the budget runs out, ``converged`` is
-    False and ``sigma`` is the norm of the first product, with the unit start
-    vector: a lower bound.  A zero operator gives ``degenerate``, ``sigma`` 0
-    and arbitrary unit vectors.
+    With s the short side of ``a`` (``a`` or its transpose) and k its row
+    count, the top eigenvector w of the k x k Gram ``s s^T`` is the
+    short-side singular vector; ``s^T w`` is sigma times the long-side one.
+    Only one eigenpair of a k x k matrix is computed; ``a`` itself is never
+    decomposed.  ``converged`` is always True, and ``iterations`` counts the
+    two products with ``a``: the Gram and ``s^T w``.  A zero matrix gives
+    ``degenerate``, ``sigma`` 0 and unit vectors.  Raises on non-finite
+    input.
     """
-    a = aslinearoperator(a)
+    a = np.asarray(a, dtype=float)
     m, n = a.shape
     if m <= 0 or n <= 0:
-        raise ValueError("operator must have positive dimensions")
-    products = 0
-
-    def counted(apply):
-        def run(x):
-            nonlocal products
-            products += 1
-            return apply(x)
-        return run
-
-    op = LinearOperator(a.shape, matvec=counted(a.matvec),
-                        rmatvec=counted(a.rmatvec), dtype=float)
-    # svds starts on the shorter side.  One product there detects the zero
-    # operator, on which ARPACK fails, and solves a single row or column,
-    # which svds rejects (it needs k < min(m, n)).
-    left = m < n
-    start = np.random.default_rng(seed).standard_normal(min(m, n))
-    start /= np.linalg.norm(start)
-    w = op.rmatvec(start) if left else op.matvec(start)
-    sigma = float(np.linalg.norm(w))
-    degenerate = sigma == 0.0
-    converged = True
-    if not degenerate and min(m, n) > 1:
-        try:
-            u, s, vt = svds(op, k=1, tol=tol, maxiter=max_iter, v0=start,
-                            solver="arpack")
-        except ArpackNoConvergence:
-            converged = False
-        else:
-            return TopSingularPair(float(s[0]), u[:, 0], vt[0], converged=True,
-                                   iterations=products)
-    other = np.eye(1, max(m, n))[0] if degenerate else w / sigma
-    u, v = (start, other) if left else (other, start)
-    return TopSingularPair(sigma, u, v, converged, degenerate=degenerate,
-                           iterations=products)
+        raise ValueError("matrix must have positive dimensions")
+    peak = float(np.max(np.abs(a)))
+    if not np.isfinite(peak):
+        raise ValueError("non-finite entries in matrix passed to top_singular_pair")
+    # The Gram squares entries, so bring the largest to [1, 2) first: a
+    # power of two is exact and changes no result where nothing overflows.
+    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    left = m <= n
+    s = (a if left else a.T) / scale
+    k = min(m, n)
+    _, w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])
+    w = w[:, 0]
+    x = s.T @ w
+    norm = float(np.linalg.norm(x))
+    degenerate = norm == 0.0
+    x = np.eye(1, max(m, n))[0] if degenerate else x / norm
+    u, v = (w, x) if left else (x, w)
+    return TopSingularPair(float(scale) * norm, u, v, converged=True,
+                           degenerate=degenerate, iterations=2)

@@ -105,8 +105,12 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SSR_SMALL + ["--mu", "nan"],
     SSR_SMALL + ["--mu", "0.1", "--lambda", "inf"],
     SCS_SMALL + ["--lambda", "nan", "--solver", "apg-svt"],
+    SSR_SMALL + ["--mu", "0.1", "--max-iter", "0"],
+    SCS_SMALL + ["--lam-growth", "0.5"],
+    SCS_SMALL + ["--max-iter", "0", "--solver", "apg-svt"],
 ], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
-     "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg"])
+     "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg",
+     "ssr-max-iter-0", "scs-lam-growth-below-1", "max-iter-0-apg"])
 def test_bad_experiment_parameters_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with warnings.catch_warnings():
@@ -151,6 +155,27 @@ def test_config_file_errors(tmp_path):
 
 def test_bench_rejects_malformed_sizes(capsys):
     assert cli.main(["bench", "--size", "3,4"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "3,4"],
+    ["--size", "0,1,2,2"],
+    ["--size", "2,2,-1,6"],
+    ["--size", "a,b,c,d"],
+    ["--reps", "0"],
+    ["--iters", "0"],
+], ids=["short-size", "zero-size", "negative-size", "non-integer-size",
+     "reps-0", "iters-0"])
+def test_bad_bench_settings_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "bench"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["bench", "--size", "2,2,2,6"] + argv + ["--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -167,14 +167,19 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
-    # a 2-restart ARPACK budget at a tight tolerance leaves some atoms
-    # unconverged once the short side exceeds ARPACK's 20-vector subspace
-    unconverged = []
+    # every atom is the exact pair tilted toward a seeded random direction,
+    # so the step sees an inexact atom at every iteration
+    noise = np.random.default_rng(5)
+    tilts = []
 
-    def spied(*args, **kwargs):
-        pair = top_singular_pair(*args, **{**kwargs, "tol": 1e-15, "max_iter": 2})
-        unconverged.append(not pair.converged)
-        return pair
+    def spied(a):
+        pair = top_singular_pair(a)
+        u = pair.u + 0.3 * noise.standard_normal(pair.u.size) / np.sqrt(pair.u.size)
+        v = pair.v + 0.3 * noise.standard_normal(pair.v.size) / np.sqrt(pair.v.size)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        tilts.append(np.linalg.norm(np.outer(u, v) - np.outer(pair.u, pair.v)))
+        return replace(pair, sigma=float(u @ a @ v), u=u, v=v, converged=False)
 
     monkeypatch.setattr(gcg, "top_singular_pair", spied)
     for j, k in ((30, 35), (25, 40)):
@@ -182,7 +187,20 @@ def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
         _, trace = solve(prob, GcgConfig(max_iter=20, seed=3, tol_obj=1e-300,
                                          tol_x=1e-300))
         assert np.all(np.diff(trace.column("psi")) <= PSI_SLACK)
-    assert sum(unconverged) >= 2
+    assert len(tilts) >= 2 and min(tilts) > 1e-3
+
+
+def test_seed_changes_no_result():
+    # GCG draws nothing at random: the seed is recorded, never used
+    prob = _desk_problem()
+    tables = []
+    for seed in (0, 12345):
+        _, trace = solve_homotopy(prob, GcgConfig(seed=seed))
+        rows = [line.split(",") for line in trace.to_csv().splitlines()]
+        tables.append([row[:1] + row[2:] for row in rows])  # all but time_s
+    assert tables[0][0] == [c for c in CSV_HEADER.split(",") if c != "time_s"]
+    assert len(tables[0]) > 2
+    assert tables[0] == tables[1]
 
 
 def test_factor_rank_stays_within_the_short_side(rng):

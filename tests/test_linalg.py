@@ -1,9 +1,10 @@
-"""Sparse containers, operators, and the iterative spectral routines."""
+"""Sparse containers, operators, and the spectral routines."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slrm import apps, gcg
 from slrm.linalg import (SparseMatrix, dense_svd, singular_values, spmv,
                          spmv_t, top_singular_pair, unvec, vec)
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
@@ -131,7 +132,7 @@ def test_singular_values_match_the_full_svd(rng):
 def test_top_singular_pair_matches_dense(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 30))))
-    res = top_singular_pair(a, seed=seed)
+    res = top_singular_pair(a)
     s = np.linalg.svd(a, compute_uv=False)
     assert res.converged
     assert abs(res.sigma - s[0]) <= 1e-7 * max(1.0, s[0])
@@ -139,13 +140,46 @@ def test_top_singular_pair_matches_dense(seed):
     assert np.linalg.norm(a.T @ res.u - res.sigma * res.v) <= 1e-6 * max(1.0, s[0])
 
 
+def _near_degenerate(rng, m, n):
+    # sigma_1 / sigma_2 = 1 + 1e-6, the rest spread below
+    q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.linspace(1.0, 0.1, min(m, n))
+    s[0] = 1.0 + 1e-6
+    return (q1[:, :s.size] * (3.0 * s)) @ q2[:, :s.size].T
+
+
+def test_top_singular_pair_is_exact(rng):
+    low = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 14))
+    cases = {
+        "wide": rng.standard_normal((12, 16)),
+        "tall": rng.standard_normal((40, 7)),
+        "one_row": rng.standard_normal((1, 11)),
+        "one_col": rng.standard_normal((8, 1)),
+        "rank_deficient_wide": low,
+        "rank_deficient_tall": low.T,
+        "near_degenerate_wide": _near_degenerate(rng, 10, 25),
+        "near_degenerate_tall": _near_degenerate(rng, 30, 6),
+        # the Gram of these would overflow or underflow unscaled
+        "huge": 1e200 * rng.standard_normal((6, 9)),
+        "tiny": 1e-170 * rng.standard_normal((9, 6)),
+    }
+    for name, a in cases.items():
+        res = top_singular_pair(a)
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert res.converged and not res.degenerate, name
+        assert abs(res.sigma - want) <= 1e-12 * want, name
+        # residuals relative to sigma, formed so that "huge" does not overflow
+        assert np.linalg.norm((a @ res.v - res.sigma * res.u) / want) <= 1e-12, name
+        assert np.linalg.norm((a.T @ res.u - res.sigma * res.v) / want) <= 1e-12, name
+
+
 def test_top_singular_pair_rank_one_exact(rng):
-    # a single row or column is rank one too; svds cannot take those
     for m, n in ((8, 11), (1, 11), (8, 1)):
         u = rng.standard_normal(m)
         v = rng.standard_normal(n)
         a = np.outer(u, v)
-        res = top_singular_pair(a, seed=3)
+        res = top_singular_pair(a)
         want = np.linalg.norm(u) * np.linalg.norm(v)
         assert res.converged
         assert abs(res.sigma - want) <= 1e-10 * want
@@ -154,33 +188,45 @@ def test_top_singular_pair_rank_one_exact(rng):
 
 
 def test_top_singular_pair_zero_operator():
-    res = top_singular_pair(np.zeros((4, 5)), seed=0)
+    res = top_singular_pair(np.zeros((4, 5)))
     assert res.converged and res.degenerate
     assert res.sigma == 0.0
     assert np.isclose(np.linalg.norm(res.u), 1.0)
     assert np.isclose(np.linalg.norm(res.v), 1.0)
 
 
-def test_top_singular_pair_budget_exhaustion(rng):
-    a = rng.standard_normal((100, 100))
-    s0 = np.linalg.svd(a, compute_uv=False)[0]
-    res = top_singular_pair(a, tol=1e-14, max_iter=3, seed=0)
-    assert not res.converged
-    # the Ritz value from inside the subspace never overshoots
-    assert 0.0 < res.sigma <= s0 * (1.0 + 1e-9)
-
-
-def test_top_singular_pair_restart_path(rng):
-    # one pass over ARPACK's 20-vector subspace takes 2 * 20 products, plus
-    # the start check and the final A v; more means it restarted
-    a = rng.standard_normal((60, 60))
-    res = top_singular_pair(a, seed=1)
-    assert res.iterations > 2 * 20 + 2
-    s0 = np.linalg.svd(a, compute_uv=False)[0]
-    assert res.converged
-    assert abs(res.sigma - s0) <= 1e-7 * s0
-
-
 def test_top_singular_pair_input_checks():
     with pytest.raises(ValueError):
         top_singular_pair(np.zeros((0, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.ones((3, 5))
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            top_singular_pair(a)
+        with pytest.raises(ValueError):
+            top_singular_pair(a.T)
+
+
+def test_top_singular_pair_atom_matches_dense_svd_on_solver_gradients(monkeypatch):
+    # every gradient the solver decomposes on the desk ssr and scs-31 problems
+    grads = []
+
+    def spied(a):
+        grads.append(np.array(a))
+        return top_singular_pair(a)
+
+    monkeypatch.setattr(gcg, "top_singular_pair", spied)
+    desk = apps.SsrConfig(n=2, r=2, j=6, k=8, T=2000, sigma=0.05, seed=7)
+    gcg.solve_homotopy(apps.ssr_problem(desk, apps.ssr_generate(desk), mu=0.1,
+                                        lam=1.0), gcg.GcgConfig())
+    scs = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4,
+                         snr=10.0, seed=3)
+    gcg.solve(apps.scs_problem(scs, apps.scs_generate(scs), mu=0.1),
+              gcg.GcgConfig(max_iter=3))
+    assert {a.shape for a in grads} == {(12, 16), (36, 676)}
+    for a in grads:
+        res = top_singular_pair(a)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        assert abs(res.sigma - s[0]) <= 1e-12 * s[0]
+        gap = np.linalg.norm(np.outer(res.u, res.v) - np.outer(u[:, 0], vt[0]))
+        assert gap <= 1e-12
