@@ -69,8 +69,10 @@ def _unit_nuclear(a):
 def random_system(n, r, rng):
     """Random (D, E, F), each scaled to unit nuclear norm.
 
-    The state matrix then has spectral radius below one, so the process is
-    stationary.
+    For r > 1 the state matrix then has spectral radius below one, so the
+    process is stationary.  At r = 1 the normalization makes D = +1 or -1:
+    the state is a random walk, not stationary, and the Lyapunov solve of
+    ``analytic_covariances`` is singular.
     """
     d = _unit_nuclear(rng.standard_normal((r, r)))
     e = _unit_nuclear(rng.standard_normal((r, n)))
@@ -82,16 +84,26 @@ def simulate_outputs(system, T, sigma, state_rng, noise_rng):
     """Observed outputs of the driven state-space recursion, shape (n, T).
 
     z_t = F s_t + u_t with s_{t+1} = D s_t + E u_t, started from a standard
-    normal state; measurement noise sigma is added afterwards.
+    normal state; measurement noise sigma is added afterwards.  The initial
+    state and then all T inputs are drawn in one call each: the same numbers,
+    and the same generator state after, as T calls of one input each.
+
+    The states come from a doubling scan over c_0 = s_0, c_t = E u_{t-1}.
+    After the pass with step k, column t holds the sum of D^i c_{t-i} over
+    i < 2k, i <= t, so ceil(log2(T+1)) passes give every s_t.  Since
+    ||D||_2 <= ||D||_* = 1, the powers of D never grow.
     """
     d, e, f = system
     r, n = e.shape
-    s = state_rng.standard_normal(r)
-    z = np.empty((n, T))
-    for t in range(T):
-        u = state_rng.standard_normal(n)
-        z[:, t] = f @ s + u
-        s = d @ s + e @ u
+    s0 = state_rng.standard_normal(r)
+    u = state_rng.standard_normal((T, n)).T
+    # column t is s_t; the last column, s_T, is dropped at the end
+    s = np.concatenate([s0[:, None], e @ u], axis=1)
+    step, dpow = 1, d
+    while step < s.shape[1]:
+        s[:, step:] += dpow @ s[:, :-step]
+        step, dpow = 2 * step, dpow @ dpow
+    z = f @ s[:, :T] + u
     if sigma:
         z = z + sigma * noise_rng.standard_normal((n, T))
     return z
@@ -125,6 +137,10 @@ def analytic_covariances(system, n_blocks):
 
 
 def ssr_generate(cfg: SsrConfig) -> SsrData:
+    if cfg.T <= cfg.k:
+        raise ValueError("T must exceed k, or the last lags have no samples")
+    if not 0.0 <= cfg.sigma < np.inf:
+        raise ValueError("sigma must be non-negative and finite")
     system = random_system(cfg.n, cfg.r, substream(cfg.seed, _STREAM_SYSTEM))
     zbar = simulate_outputs(system, cfg.T, cfg.sigma,
                             substream(cfg.seed, _STREAM_TRAJECTORY),

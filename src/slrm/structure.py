@@ -57,16 +57,23 @@ class StructureSpec:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("structure needs positive dimensions")
         size = self.rows * self.cols
-        for k, s in enumerate(self.supports):
-            if s.size == 0:
+        pos, sizes = self.support_positions, self.support_sizes
+        # the first support that is empty or, within itself, not ascending;
+        # a drop from one support to the next is legal
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        drops = (np.diff(pos) <= 0) & (owner[1:] == owner[:-1])
+        bad = sizes == 0
+        bad[owner[1:][drops]] = True
+        if bad.any():
+            k = int(np.argmax(bad))
+            if sizes[k] == 0:
                 raise ValueError(f"support {k} is empty")
-            if np.any(np.diff(s) <= 0):
-                raise ValueError(f"support {k} is not sorted strictly ascending")
-        all_pos = np.concatenate([self.support_positions, self.zero_positions])
+            raise ValueError(f"support {k} is not sorted strictly ascending")
+        all_pos = np.concatenate([pos, self.zero_positions])
         if all_pos.size:
             if all_pos.min() < 0 or all_pos.max() >= size:
                 raise ValueError("position out of range")
-            if np.unique(all_pos).size != all_pos.size:
+            if np.bincount(all_pos, minlength=size).max() > 1:
                 raise ValueError("supports / zero positions overlap")
 
     @property
@@ -84,7 +91,8 @@ class StructureSpec:
     @cached_property
     def support_sizes(self) -> np.ndarray:
         """Number of positions in each support (read-only)."""
-        sizes = np.array([s.size for s in self.supports], dtype=np.int64)
+        sizes = np.fromiter(map(len, self.supports), dtype=np.int64,
+                            count=len(self.supports))
         sizes.flags.writeable = False
         return sizes
 
@@ -166,35 +174,18 @@ def build_B(spec: StructureSpec) -> SparseMatrix:
     position.
     """
     size = spec.rows * spec.cols
-    heads = []
-    tails = []
-    for s in spec.supports:
-        if s.size > 1:
-            heads.append(s[:-1])
-            tails.append(s[1:])
-    n_pairs = sum(h.size for h in heads)
-    n_rows = n_pairs + spec.zero_positions.size
-    if n_rows == 0:
-        return SparseMatrix((0, size))
-    rows_idx = []
-    cols_idx = []
-    vals = []
-    if n_pairs:
-        h = np.concatenate(heads)
-        t = np.concatenate(tails)
-        rr = np.arange(n_pairs, dtype=np.int64)
-        rows_idx.append(np.repeat(rr, 2))
-        cols_idx.append(np.stack([h, t], axis=1).ravel())
-        vals.append(np.tile([1.0, -1.0], n_pairs))
-    if spec.zero_positions.size:
-        zr = n_pairs + np.arange(spec.zero_positions.size, dtype=np.int64)
-        rows_idx.append(zr)
-        cols_idx.append(spec.zero_positions)
-        vals.append(np.ones(spec.zero_positions.size))
-    return SparseMatrix(
-        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-        shape=(n_rows, size),
-    )
+    pos = spec.support_positions
+    # every neighbour pair in the concatenation except those across two supports
+    within = np.ones(max(pos.size - 1, 0), dtype=bool)
+    within[np.cumsum(spec.support_sizes)[:-1] - 1] = False
+    heads, tails = pos[:-1][within], pos[1:][within]
+    n_pairs, n_zeros = heads.size, spec.zero_positions.size
+    rows_idx = np.concatenate([np.repeat(np.arange(n_pairs), 2),
+                               n_pairs + np.arange(n_zeros)])
+    cols_idx = np.concatenate([np.stack([heads, tails], axis=1).ravel(),
+                               spec.zero_positions])
+    vals = np.concatenate([np.tile([1.0, -1.0], n_pairs), np.ones(n_zeros)])
+    return SparseMatrix((vals, (rows_idx, cols_idx)), shape=(n_pairs + n_zeros, size))
 
 
 def constraint_gram_norm(spec: StructureSpec) -> float:

@@ -44,6 +44,62 @@ def test_simulate_outputs_shapes_and_noise():
                                 np.random.default_rng(2)))
 
 
+def _simulate_outputs_loop(system, T, sigma, state_rng, noise_rng):
+    """The recursion one time step at a time: the oracle for the scan."""
+    d, e, f = system
+    r, n = e.shape
+    s = state_rng.standard_normal(r)
+    z = np.empty((n, T))
+    for t in range(T):
+        u = state_rng.standard_normal(n)
+        z[:, t] = f @ s + u
+        s = d @ s + e @ u
+    if sigma:
+        z = z + sigma * noise_rng.standard_normal((n, T))
+    return z
+
+
+def _systems():
+    """r = 1 (D = +1 and -1), r below n, r equal to n and r above n, by name."""
+    d, e, f = random_system(2, 1, np.random.default_rng(3))
+    assert abs(d[0, 0]) == 1.0       # unit nuclear norm of a 1 x 1 matrix
+    return {
+        "r1_plus": (np.abs(d), e, f),
+        "r1_minus": (-np.abs(d), e, f),
+        "r_below_n": random_system(3, 2, np.random.default_rng(4)),
+        "r_equal_n": random_system(2, 2, np.random.default_rng(5)),
+        "r_above_n": random_system(2, 5, np.random.default_rng(6)),
+    }
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 1000, 1025])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_simulate_outputs_scan_matches_the_loop(T, sigma):
+    for name, system in _systems().items():
+        state = [np.random.default_rng(11), np.random.default_rng(11)]
+        noise = [np.random.default_rng(12), np.random.default_rng(12)]
+        got = simulate_outputs(system, T, sigma, state[0], noise[0])
+        want = _simulate_outputs_loop(system, T, sigma, state[1], noise[1])
+        assert got.shape == want.shape == (system[2].shape[0], T)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)), err_msg=name)
+        # the same draws leave both generators where the loop leaves them
+        assert state[0].bit_generator.state == state[1].bit_generator.state, name
+        assert noise[0].bit_generator.state == noise[1].bit_generator.state, name
+
+
+def test_ssr_generate_rejects_parameters_that_give_false_data():
+    base = dict(n=2, r=1, j=3, k=4, seed=0)
+    for T in (-1, 0, 1, 4):          # lags up to k would have no samples
+        with pytest.raises(ValueError, match="T must exceed k"):
+            ssr_generate(SsrConfig(T=T, **base))
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            ssr_generate(SsrConfig(T=50, sigma=sigma, **base))
+    data = ssr_generate(SsrConfig(T=5, sigma=0.0, **base))
+    assert np.all(data.v[3] != 0.0)  # the last observed lag has one sample
+
+
 def test_empirical_covariances_match_direct_sums(rng):
     z = rng.standard_normal((2, 30))
     j, k = 3, 4

@@ -108,9 +108,14 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SSR_SMALL + ["--mu", "0.1", "--max-iter", "0"],
     SCS_SMALL + ["--lam-growth", "0.5"],
     SCS_SMALL + ["--max-iter", "0", "--solver", "apg-svt"],
+    SSR_SMALL + ["--mu", "0.1", "--T", "0"],
+    SSR_SMALL + ["--mu", "0.1", "--T", "3"],
+    SSR_SMALL + ["--mu", "0.1", "--sigma", "-0.05"],
+    SSR_SMALL + ["--mu", "0.1", "--sigma", "inf"],
 ], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
      "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg",
-     "ssr-max-iter-0", "scs-lam-growth-below-1", "max-iter-0-apg"])
+     "ssr-max-iter-0", "scs-lam-growth-below-1", "max-iter-0-apg",
+     "ssr-T-0", "ssr-T-equal-k", "ssr-sigma-negative", "ssr-sigma-inf"])
 def test_bad_experiment_parameters_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with warnings.catch_warnings():

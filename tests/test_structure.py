@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slrm.linalg import unvec, vec
+from slrm.linalg import SparseMatrix, unvec, vec
 from slrm.structure import (RecoveryMode, StructureSpec, apply_structure,
                             block_hankel_spec, build_B, build_C,
                             constraint_gram_norm, hankel_spec,
@@ -59,18 +59,32 @@ def test_two_fold_window_bounds():
 
 
 def test_spec_validation_rejects_bad_supports():
-    with pytest.raises(ValueError):
-        StructureSpec(2, 2, ([0], [], [3]))          # empty support
-    with pytest.raises(ValueError):
-        StructureSpec(2, 2, ([0, 1], [1, 2]))        # overlap
-    with pytest.raises(ValueError):
-        StructureSpec(2, 2, ([0], [4]))              # out of range
-    with pytest.raises(ValueError):
-        StructureSpec(2, 2, ([1, 0],))               # not ascending
-    with pytest.raises(ValueError):
-        StructureSpec(2, 2, ([0],), zero_positions=[0])  # clashes with a support
-    with pytest.raises(ValueError):
+    cases = [  # (supports, zero positions, message) on a 2 x 2 matrix
+        (([0], [], [3]), [], "support 1 is empty"),
+        (([0, 1], [1, 2]), [], "overlap"),
+        (([0], [4]), [], "out of range"),
+        (([-1], [0]), [], "out of range"),
+        (([1, 0],), [], "support 0 is not sorted strictly ascending"),
+        (([0], [1, 1]), [], "support 1 is not sorted strictly ascending"),  # repeat
+        (([0],), [0], "overlap"),              # zero position clashes with a support
+        (([0], [2, 1], []), [], "support 1 is not sorted"),   # first bad support wins
+        (([0], [], [2, 1]), [], "support 1 is empty"),
+        (([1, 0], [7]), [], "support 0 is not sorted"),       # order before range
+        (([0, 9], [0]), [], "out of range"),                  # range before overlap
+    ]
+    for supports, zeros, message in cases:
+        with pytest.raises(ValueError, match=message):
+            StructureSpec(2, 2, supports, zero_positions=np.array(zeros, dtype=np.int64))
+    with pytest.raises(ValueError, match="positive dimensions"):
         StructureSpec(0, 2, ([0],))
+
+
+def test_supports_may_drop_from_one_to_the_next():
+    spec = StructureSpec(2, 2, ([2, 3], [0, 1]))
+    np.testing.assert_array_equal(spec.support_positions, [2, 3, 0, 1])
+    spec = StructureSpec(2, 3, ([5], [1, 3], [0, 4]), zero_positions=[2])
+    np.testing.assert_array_equal(build_B(spec).to_dense() @ np.arange(6.0),
+                                  [-2.0, -4.0, 2.0])
 
 
 def _random_spec(rng):
@@ -126,6 +140,37 @@ def test_constraint_gram_norm_is_the_top_eigenvalue_of_BtB():
         want = np.linalg.eigvalsh(b.T @ b)[-1]
         np.testing.assert_allclose(constraint_gram_norm(spec), want, rtol=1e-12,
                                    atol=1e-14, err_msg=name)
+
+
+def _build_B_loop(spec):
+    """B from one support at a time: the oracle for the masked build."""
+    rows, cols, vals = [], [], []
+    r = 0
+    for s in spec.supports:
+        for a, b in zip(s[:-1], s[1:]):
+            rows += [r, r]
+            cols += [a, b]
+            vals += [1.0, -1.0]
+            r += 1
+    for z in spec.zero_positions:
+        rows.append(r)
+        cols.append(z)
+        vals.append(1.0)
+        r += 1
+    return SparseMatrix((vals, (rows, cols)), shape=(r, spec.rows * spec.cols))
+
+
+def test_B_csr_arrays_match_the_loop():
+    rng = np.random.default_rng(8)
+    specs = list(assorted_specs().items())
+    specs += [(f"random_{i}", _random_spec(rng)) for i in range(20)]
+    for name, spec in specs:
+        got, want = build_B(spec).to_scipy(), _build_B_loop(spec).to_scipy()
+        assert got.shape == want.shape, name
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype, (name, attr)
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
 
 
 def test_B_row_count_and_values():
