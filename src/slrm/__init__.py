@@ -14,8 +14,8 @@ from .baseline import (ApgConfig, lipschitz_estimate, solve_apg,
 from .gcg import (DivergedError, GcgConfig, SolveTrace, TraceRecord, compress,
                   lam_stages, local_search, rank_estimate, recover_y, solve,
                   solve_homotopy, structured_rank)
-from .linalg import (SparseMatrix, dense_svd, spmv, spmv_t, top_singular_pair,
-                     unvec, vec)
+from .linalg import (SparseMatrix, short_side_svd, spmv, spmv_t,
+                     top_singular_pair, unvec, vec)
 from .objective import (FactorPair, PenaltyProblem, StepModel,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
                         grad_f, phi_value, psi_value, step_model)

@@ -3,10 +3,10 @@
 Solves the same penalized objective as the conditional-gradient solver but
 keeps a dense iterate and computes all of its singular values every
 iteration, which is the cost profile the factored solver is meant to avoid.
-The thresholding works on the k x k core of a QR factorization of the short
-side (k = min(M, N)), so no right singular vectors are formed; the step size
-comes in closed form from the problem data.  With a long iteration budget it
-doubles as the reference optimum for tests.
+The thresholding takes all singular values from one eigensolve of the k x k
+Gram of the short side (k = min(M, N)) and never normalizes a right singular
+vector; the step size comes in closed form from the problem data.  With a
+long iteration budget it doubles as the reference optimum for tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .gcg import (SolverConfig, SolveTrace, TraceRecord, _continuation,
                   structured_rank_of)
-from .linalg import _wide_core, dense_svd, spmv, unvec, vec
+from .linalg import short_side_svd, spmv, unvec, vec
 from .objective import PenaltyProblem, _grad_vec, smooth_terms
 from .structure import constraint_gram_norm
 
@@ -58,17 +58,14 @@ def svt(x, tau):
 
 
 def _svt_with_values(x, tau):
-    # With x = L Q^T and L = u diag(s) w^T, x = u diag(s) V^T, so
-    # V^T = diag(1/s) u^T x wherever s > 0: the right singular vectors are
-    # never formed, and singular values at or below tau drop out.
+    # Row i of w is sigma_i v_i^T, so scaling it by shrunk_i / sigma_i
+    # thresholds it; no right singular vector is normalized.
     x = np.asarray(x, dtype=float)
-    if x.shape[0] > x.shape[1]:
-        out, shrunk = _svt_with_values(x.T, tau)
-        return out.T, shrunk
-    u, s, _ = dense_svd(_wide_core(x))
+    u, s, w = short_side_svd(x)
     shrunk = np.maximum(s - tau, 0.0)
     scale = np.divide(shrunk, s, out=np.zeros_like(s), where=shrunk > 0.0)
-    return (u * scale) @ (u.T @ x), shrunk
+    out = w.T @ (u * scale).T  # transposed, so a wide result is column-major as vec reads it
+    return (out.T if x.shape[0] <= x.shape[1] else out), shrunk
 
 
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
@@ -101,8 +98,11 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     trace = SolveTrace()
 
     for k in range(1, config.max_iter + 1):
-        grad = _grad_vec(prob, vec(y))
-        x_new, s_vals = _svt_with_values(y - step * unvec(grad, prob.rows, prob.cols), tau)
+        z = y - step * unvec(_grad_vec(prob, vec(y)), prob.rows, prob.cols)
+        try:
+            x_new, s_vals = _svt_with_values(z, tau)
+        except ValueError as exc:  # the prox rejects a non-finite gradient step
+            raise trace.diverged(f"non-finite gradient step at iteration {k}", t0) from exc
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         step_x = x_new - x_prev
         y = x_new + ((t_mom - 1.0) / t_new) * step_x

@@ -82,37 +82,60 @@ def spmv_t(a: SparseMatrix, y):
     return a._adjoint @ np.asarray(y, dtype=float)
 
 
-def dense_svd(a):
-    """Full SVD of a dense matrix, returned as (U, s, Vt).
-
-    Thin wrapper over LAPACK; kept behind one name so the dense path is easy
-    to audit.  Raises on non-finite input.
-    """
+def _short_side(a, name):
+    """``(s, scale, left)``: the short side of ``a`` (``a`` if ``left``, else
+    ``a.T``) over the exact power of two that brings its peak to [1, 2), so
+    its Gram cannot overflow.  Raises on an empty or non-finite ``a``."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in matrix passed to dense_svd")
-    return np.linalg.svd(a, full_matrices=False)
+    if not a.size:
+        raise ValueError("matrix must have positive dimensions")
+    peak = max(float(a.max()), -float(a.min()))
+    if not np.isfinite(peak):
+        raise ValueError(f"non-finite entries in matrix passed to {name}")
+    exponent = int(np.frexp(peak)[1]) - 1
+    left = a.shape[0] <= a.shape[1]
+    return np.ldexp(a if left else a.T, -exponent), float(np.ldexp(1.0, exponent)), left
 
 
-def _wide_core(a):
-    """k x k lower-triangular L with ``a = L Q^T``, for a with k <= N columns.
+def short_side_svd(a):
+    """``(u, sigma, w)`` with ``s == u @ w``; s is ``a`` or ``a.T``, k x N, k <= N.
 
-    L keeps the singular values and left singular vectors of a, so spectral
-    work on a wide k x N matrix shrinks to k x k.  It is the transposed R of
-    a Householder QR of ``a^T``, which is backward stable and never forms Q.
-    Raises on non-finite input.
+    u holds the eigenvectors of the Gram ``s s^T`` from one ``eigh``, the rows
+    of ``w = u^T s`` are sigma times the right singular vectors, and sigma,
+    descending, are their norms: near 1e-15 sigma_max at a zero singular
+    value, where the eigenvalues' roots read ~1e-8.  Raises on non-finite input.
     """
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in dense matrix")
-    return np.linalg.qr(a.T, mode="r").T
+    s, scale, _ = _short_side(a, "short_side_svd")
+    u, sigma, w = _gram_svd(s)
+    if np.any(sigma[1:] > sigma[:-1]):  # rounding swapped two rows
+        order = np.argsort(sigma)[::-1]
+        u, sigma, w = u[:, order], sigma[order], w[order]
+    w *= scale
+    return u, scale * sigma, w
+
+
+def _gram_svd(s, floor=None):
+    # Rows in descending eigenvalue order.  Eigenvectors are exact to
+    # eps sigma_max^2 / gap, so a norm below 1e-3 sigma_max can be off by
+    # eps sigma_max^2 / sigma_i; those rows, unless at rounding (floor), recur.
+    u = np.linalg.eigh(s @ s.T)[1][:, ::-1]
+    w = u.T @ s
+    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
+    floor = np.finfo(float).eps * sigma.max() if floor is None else floor
+    cut = int(np.count_nonzero(sigma >= 1e-3 * sigma.max()))
+    if cut < sigma.size and sigma[cut:].max() > floor:
+        u_tail, sigma[cut:], w[cut:] = _gram_svd(w[cut:], floor)
+        u[:, cut:] = u[:, cut:] @ u_tail
+    return u, sigma, w
 
 
 def singular_values(a):
-    """All singular values of a dense matrix, descending, from its short side."""
-    a = np.asarray(a, dtype=float)
-    return np.linalg.svd(_wide_core(a if a.shape[0] <= a.shape[1] else a.T),
-                         compute_uv=False)
+    """All singular values of a dense matrix, descending.  Under 4,096 entries
+    one LAPACK call (12 x 16: 25 us) beats the Gram route of ``short_side_svd``
+    (70 us), which wins above (36 x 676: 0.33 against 0.77 ms)."""
+    s, scale, _ = _short_side(a, "singular_values")
+    sigma = np.linalg.svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
+    return scale * np.sort(sigma)[::-1]
 
 
 @dataclass
@@ -128,34 +151,20 @@ class TopSingularPair:
 def top_singular_pair(a):
     """Leading singular triplet of a dense matrix, from its short-side Gram.
 
-    With s the short side of ``a`` (``a`` or its transpose) and k its row
-    count, the top eigenvector w of the k x k Gram ``s s^T`` is the
-    short-side singular vector; ``s^T w`` is sigma times the long-side one.
-    Only one eigenpair of a k x k matrix is computed; ``a`` itself is never
-    decomposed.  ``converged`` is always True, and ``iterations`` counts the
-    two products with ``a``: the Gram and ``s^T w``.  A zero matrix gives
-    ``degenerate``, ``sigma`` 0 and unit vectors.  Raises on non-finite
-    input.
+    The top eigenvector w of the k x k Gram ``s s^T`` of the short side s is
+    the short-side singular vector, and ``s^T w`` is sigma times the other.
+    ``converged`` is always True; ``iterations`` counts the two products
+    with ``a``.  A zero matrix gives ``degenerate``, ``sigma`` 0 and unit
+    vectors.  Raises on non-finite input.
     """
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    if m <= 0 or n <= 0:
-        raise ValueError("matrix must have positive dimensions")
-    peak = float(np.max(np.abs(a)))
-    if not np.isfinite(peak):
-        raise ValueError("non-finite entries in matrix passed to top_singular_pair")
-    # The Gram squares entries, so bring the largest to [1, 2) first: a
-    # power of two is exact and changes no result where nothing overflows.
-    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
-    left = m <= n
-    s = (a if left else a.T) / scale
-    k = min(m, n)
+    s, scale, left = _short_side(a, "top_singular_pair")
+    k, n = s.shape
     _, w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])
     w = w[:, 0]
     x = s.T @ w
     norm = float(np.linalg.norm(x))
     degenerate = norm == 0.0
-    x = np.eye(1, max(m, n))[0] if degenerate else x / norm
+    x = np.eye(1, n)[0] if degenerate else x / norm
     u, v = (w, x) if left else (x, w)
-    return TopSingularPair(float(scale) * norm, u, v, converged=True,
+    return TopSingularPair(scale * norm, u, v, converged=True,
                            degenerate=degenerate, iterations=2)

@@ -10,9 +10,8 @@ column-major over the full matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -33,24 +32,27 @@ class StructureSpec:
     ``supports[k]`` lists the column-major positions carrying parameter k,
     sorted ascending.  Positions in ``zero_positions`` are forced to zero.
     Supports and zero positions must be disjoint; each support is non-empty.
-    Immutable once built: the concatenated supports and their sizes are
-    cached on first use, so changing the support arrays would leave them stale.
+    ``support_positions`` (the supports concatenated in parameter order) and
+    ``support_sizes`` are read-only arrays built with the spec, so it is
+    immutable once built: changing a support array would leave them stale.
     """
 
     rows: int
     cols: int
     supports: tuple
     zero_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _runs: InitVar[tuple | None] = None  # (positions, sizes) the supports are slices of
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "supports",
-            tuple(np.asarray(s, dtype=np.int64) for s in self.supports),
-        )
-        object.__setattr__(
-            self, "zero_positions", np.asarray(self.zero_positions, dtype=np.int64)
-        )
+    def __post_init__(self, _runs):
+        if _runs is None:
+            supports = tuple(np.asarray(s, dtype=np.int64) for s in self.supports)
+            object.__setattr__(self, "supports", supports)
+            _runs = (np.concatenate(supports) if supports else np.empty(0, dtype=np.int64),
+                     np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
+        for name, arr in zip(("support_positions", "support_sizes"), _runs):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "zero_positions", np.asarray(self.zero_positions, np.int64))
         self.validate()
 
     def validate(self):
@@ -80,22 +82,6 @@ class StructureSpec:
     def n_params(self):
         return len(self.supports)
 
-    @cached_property
-    def support_positions(self) -> np.ndarray:
-        """Every support's positions, concatenated in parameter order (read-only)."""
-        pos = (np.concatenate(self.supports) if self.supports
-               else np.empty(0, dtype=np.int64))
-        pos.flags.writeable = False
-        return pos
-
-    @cached_property
-    def support_sizes(self) -> np.ndarray:
-        """Number of positions in each support (read-only)."""
-        sizes = np.fromiter(map(len, self.supports), dtype=np.int64,
-                            count=len(self.supports))
-        sizes.flags.writeable = False
-        return sizes
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -112,8 +98,11 @@ def _spec_from_param_grid(param_of_position, rows, cols, n_params):
     counts = np.bincount(flat, minlength=n_params)
     if np.any(counts == 0):
         raise ValueError("every parameter must appear in the grid")
-    supports = np.split(order, np.cumsum(counts)[:-1])
-    return StructureSpec(rows, cols, tuple(supports))
+    # read-only slices of one array: no support is converted or joined again
+    order.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    supports = tuple(order[i:j] for i, j in zip([0, *ends], ends))
+    return StructureSpec(rows, cols, supports, _runs=(order, counts))
 
 
 def hankel_spec(j, k):

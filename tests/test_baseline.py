@@ -175,10 +175,12 @@ def test_apg_rejects_bad_init(rng):
     prob = random_hankel_problem(rng, j=3, k=3)
     with pytest.raises(ValueError):
         solve_apg(prob, init=np.zeros((2, 2)))
-    with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
-        solve_apg(prob, init=np.full((3, 3), 1e200))
-    assert exc.value.trace.converged_reason == "diverged"
-    assert exc.value.trace.wall_time_s > 0.0
+    # 1.7e308 is finite, but its gradient step overflows before the prox
+    for big in (1e200, 1e300, 1.7e308):
+        with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
+            solve_apg(prob, init=np.full((3, 3), big))
+        assert exc.value.trace.converged_reason == "diverged", big
+        assert exc.value.trace.wall_time_s > 0.0, big
 
 
 def test_apg_homotopy_matches_manual_stages(rng, monkeypatch):

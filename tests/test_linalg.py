@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slrm import apps, gcg
-from slrm.linalg import (SparseMatrix, dense_svd, singular_values, spmv,
+from slrm.linalg import (SparseMatrix, short_side_svd, singular_values, spmv,
                          spmv_t, top_singular_pair, unvec, vec)
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
@@ -110,9 +110,78 @@ def test_gram_of_a_matrix_without_rows():
     np.testing.assert_array_equal(empty.gram.to_dense(), np.zeros((5, 5)))
 
 
-def test_dense_svd_rejects_nonfinite():
+def test_short_side_svd_rejects_nonfinite():
+    for bad in (np.nan, np.inf, -np.inf):
+        for a in (np.array([[1.0, bad]]), np.array([[1.0, bad]]).T):
+            with pytest.raises(ValueError):
+                short_side_svd(a)
     with pytest.raises(ValueError):
-        dense_svd(np.array([[1.0, np.nan]]))
+        short_side_svd(np.zeros((0, 3)))
+
+
+def _with_spectrum(rng, m, n, sigma):
+    q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1[:, :sigma.size] * sigma) @ q2[:, :sigma.size].T
+
+
+def _assert_short_side_svd(a, name=""):
+    # sigma against LAPACK's SVD, and the factorization itself: s == u @ w,
+    # u orthogonal, the rows of w orthogonal with norms sigma; all at
+    # 1e-12 of sigma_max, formed so that huge entries do not overflow
+    want = np.linalg.svd(a, compute_uv=False)
+    u, sigma, w = short_side_svd(a)
+    s = a if a.shape[0] <= a.shape[1] else a.T
+    k = s.shape[0]
+    top = want[0]
+    assert sigma.shape == (k,) and u.shape == (k, k) and w.shape == s.shape, name
+    assert np.all(sigma[:-1] >= sigma[1:]), name
+    np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-12 * top, err_msg=name)
+    # singular_values takes LAPACK's values below 4,096 entries, else these
+    np.testing.assert_allclose(singular_values(a), want, rtol=0, atol=1e-12 * top,
+                               err_msg=name)
+    if top == 0.0:
+        return
+    np.testing.assert_allclose(u @ (w / top), s / top, rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(u.T @ u, np.eye(k), rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose((w / top) @ (w / top).T, np.diag((sigma / top) ** 2),
+                               rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_short_side_svd_matches_the_full_svd(rng):
+    graded = np.logspace(0.0, -10.0, 12)
+    cases = {
+        # every value from 1 down to 1e-10, both orientations
+        "graded_wide": _with_spectrum(rng, 12, 30, graded),
+        "graded_tall": _with_spectrum(rng, 30, 12, graded),
+        "graded_steps": _with_spectrum(rng, 8, 20, np.r_[np.logspace(0.0, -10.0, 6),
+                                                         0.0, 0.0]),
+        "repeated": _with_spectrum(rng, 9, 14, np.r_[3.0, 3.0, 3.0, 1.0, 1.0,
+                                                     np.zeros(4)]),
+        "identity_block": np.eye(5, 11),
+        # the Gram of these would overflow or underflow unscaled
+        "huge": 1e300 * rng.standard_normal((6, 9)),
+        "tiny": 1e-300 * rng.standard_normal((9, 6)),
+        "huge_graded": 1e300 * _with_spectrum(rng, 7, 10, np.logspace(0.0, -10.0, 7)),
+        # the iterate shape of the APG workload on scs 31x31
+        "scs_31_lift": rng.standard_normal((36, 676)),
+        "scs_31_lift_graded": _with_spectrum(rng, 36, 676, np.logspace(0.0, -10.0, 36)),
+        **spectral_test_matrices(rng),
+    }
+    for name, a in cases.items():
+        _assert_short_side_svd(a, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_short_side_svd_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    _assert_short_side_svd(rng.standard_normal((m, n)))
+    # a graded spectrum down to 1e-1 ... 1e-12, with some values zeroed
+    sigma = np.logspace(0.0, -float(rng.integers(1, 13)), min(m, n))
+    sigma[rng.random(sigma.size) < 0.2] = 0.0
+    _assert_short_side_svd(_with_spectrum(rng, m, n, sigma))
 
 
 def test_singular_values_match_the_full_svd(rng):

@@ -258,6 +258,39 @@ def test_cached_supports_are_read_only_and_match_the_loop():
         [np.add.reduce(vec(x)[s] * (1.0 / s.size)) for s in spec.supports])
 
 
+def test_builder_specs_match_the_general_constructor():
+    # the builders cut their supports from one array and keep it as the
+    # cached concatenation; rebuilt support by support, the same spec
+    specs = list(assorted_specs().items()) + [
+        ("ssr_desk", block_hankel_spec(2, 2, 6, 8)),
+        ("scs_31", two_fold_hankel_spec(31, 31, 6, 6)),
+        ("scs_101", two_fold_hankel_spec(101, 101, 8, 8)),
+    ]
+    for name, spec in specs:
+        plain = StructureSpec(spec.rows, spec.cols,
+                              tuple(np.array(s) for s in spec.supports),
+                              zero_positions=np.array(spec.zero_positions))
+        assert len(spec.supports) == len(plain.supports), name
+        for a, b in zip(spec.supports, plain.supports):
+            assert a.dtype == b.dtype == np.int64, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        for attr in ("support_positions", "support_sizes"):
+            got, want = getattr(spec, attr), getattr(plain, attr)
+            assert got.dtype == want.dtype and not got.flags.writeable, (name, attr)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} {attr}")
+        if not name.startswith("zeros_"):               # built by a builder
+            with pytest.raises(ValueError):
+                spec.supports[0][0] = 0                 # read-only slices
+        for build in (build_B, build_C,
+                      lambda s: build_C(s, RecoveryMode.SPARSE)):
+            got, want = build(spec).to_scipy(), build(plain).to_scipy()
+            assert got.shape == want.shape, name
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype, (name, attr)
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
+
+
 def test_sparse_mode_reads_first_occurrence():
     spec = hankel_spec(2, 2)
     x = np.array([[1.0, 5.0], [2.0, 3.0]])  # not structured: 5 != 2
