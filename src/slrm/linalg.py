@@ -1,7 +1,6 @@
-"""The sparse-matrix handle, vectorization, and spectral routines.
-
-Nothing here draws at random; the solvers rely on that for reproducible
-traces.
+"""The sparse-matrix handle, vectorization, and spectral routines on the Gram
+of a matrix's short side.  Nothing here draws at random; the solvers rely on
+that for reproducible traces.
 """
 
 from __future__ import annotations
