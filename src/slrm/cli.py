@@ -1,9 +1,10 @@
-"""Command-line entry points: ssr, scs, bench, selftest.
+"""Command-line entry points: the ssr and scs experiment runs and the bench.
 
 Flags mirror the math symbols (--j, --k, --mu, --lambda, ...), long names
-only.  A key=value file passed through --config supplies defaults that
-explicit flags override.  Exit codes: 0 success, 1 solver divergence (the
-partial trace is still written), 2 usage errors.
+only.  Each key=value line of a --config file reads as the flag --key=value
+placed before the command line's own flags, so explicit flags win.  Exit
+codes: 0 success, 1 solver divergence (the partial trace is still written),
+2 usage errors.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 from . import apps
 from .baseline import ApgConfig, solve_apg_homotopy
 from .gcg import DivergedError, GcgConfig, SolveTrace, solve, solve_homotopy
-from .linalg import spmv, top_singular_pair, unvec, vec
-from .objective import FactorPair, assemble, f_value, grad_f
-from .structure import (apply_structure, block_hankel_spec, build_B, build_C,
-                        hankel_spec, two_fold_hankel_spec)
+from .linalg import spmv, unvec, vec
+from .objective import assemble
+from .structure import block_hankel_spec
 
 SOLVERS = ("gcg", "gcgls", "apg-svt")
 
@@ -39,7 +39,8 @@ def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
-    p.add_argument("--config", default=None, help="key=value file with flag defaults")
+    p.add_argument("--config", default=None,
+                   help="file of key=value lines, each read as --key=value")
 
 
 def build_parser():
@@ -79,57 +80,38 @@ def build_parser():
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--out", default=None)
     bench_p.add_argument("--config", default=None)
-
-    st = sub.add_parser("selftest", help="quick invariant checks")
-    st.add_argument("--seed", type=int, default=0)
-
-    return p, {"ssr": ssr, "scs": scs, "bench": bench_p, "selftest": st}
+    return p
 
 
-def _apply_config_file(parser, subparsers, argv):
-    """Fold a --config key=value file into the subcommand defaults.
+def _config_argv(parser, argv):
+    """argv with the --config file's lines spliced in after the command.
 
-    The file is located by scanning argv before parsing, so it can also
-    satisfy flags argparse would otherwise demand; explicit flags still win.
+    Each key=value line becomes the single token --key=value (so a value
+    that starts with "-" stays a value), and argparse checks it like any
+    flag.  File lines can meet required flags; the command line's own flags
+    come later, so they win.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sp = subparsers.get(command)
-    if not path or sp is None:
-        return parser.parse_args(argv)
-    dests = {}
-    for action in sp._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                dests[opt[2:]] = (action.dest, action.type)
-    overrides = {}
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    tokens = []
     try:
         with open(path) as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, value = line.partition("=")
+                if not eq or not key.strip():
                     parser.error(f"{path}:{ln}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in dests:
-                    parser.error(f"{path}:{ln}: unknown key {key!r}")
-                dest, typ = dests[key]
-                overrides[dest] = typ(value.strip()) if typ else value.strip()
+                tokens.append(f"--{key.strip()}={value.strip()}")
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    sp.set_defaults(**overrides)
-    for action in sp._actions:
-        if action.required and action.dest in overrides:
-            action.required = False
-    return parser.parse_args(argv)
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), -1) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _solver_config(args):
@@ -279,106 +261,10 @@ def run_bench(args):
     return 0
 
 
-def _selftest_checks(seed):
-    rng = np.random.default_rng(seed)
-
-    def roundtrip():
-        for _ in range(20):
-            which = rng.integers(3)
-            if which == 0:
-                spec = hankel_spec(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-            elif which == 1:
-                spec = block_hankel_spec(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                                         int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            else:
-                n1 = int(rng.integers(1, 7))
-                n2 = int(rng.integers(1, 7))
-                spec = two_fold_hankel_spec(n1, n2, int(rng.integers(1, n1 + 1)),
-                                            int(rng.integers(1, n2 + 1)))
-            y = rng.standard_normal(spec.n_params)
-            xq = apply_structure(spec, y)
-            bq = build_B(spec).to_scipy() @ vec(xq)
-            if bq.size and np.max(np.abs(bq)) != 0.0:
-                return False
-            got = build_C(spec).to_scipy() @ vec(xq)
-            if np.max(np.abs(got - y)) > 1e-12:
-                return False
-        return True
-
-    def lanczos():
-        for _ in range(8):
-            a = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(2, 40))))
-            res = top_singular_pair(a)
-            s = np.linalg.svd(a, compute_uv=False)
-            if abs(res.sigma - s[0]) > 1e-7 * max(1.0, s[0]):
-                return False
-        return True
-
-    def gradient():
-        for _ in range(5):
-            spec = hankel_spec(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            sel = apps._selection_matrix(np.arange(spec.n_params), spec.n_params)
-            prob = assemble(spec, sel, rng.standard_normal(spec.n_params),
-                            lam=0.5, mu=0.2)
-            fac = FactorPair(rng.standard_normal((spec.rows, 2)),
-                             rng.standard_normal((2, spec.cols)))
-            g = grad_f(prob, fac)
-            x0 = vec(fac.product())
-            num = np.zeros_like(x0)
-            h = 1e-6
-            for i in range(x0.size):
-                xp = x0.copy(); xp[i] += h
-                xm = x0.copy(); xm[i] -= h
-                num[i] = (f_value(prob, xp) - f_value(prob, xm)) / (2 * h)
-            if np.linalg.norm(num - vec(g)) > 1e-4 * max(1.0, np.linalg.norm(g)):
-                return False
-        return True
-
-    def end_to_end():
-        cfg = apps.SsrConfig(n=2, r=1, j=3, k=4, T=400, sigma=0.05, seed=seed)
-        prob = apps.ssr_problem(cfg, apps.ssr_generate(cfg), mu=0.1)
-        fac1, tr1 = solve_homotopy(prob, GcgConfig(max_iter=30, seed=seed))
-        fac2, tr2 = solve_homotopy(prob, GcgConfig(max_iter=30, seed=seed))
-        if [r.phi for r in tr1.records] != [r.phi for r in tr2.records]:
-            return False
-        _, apg = solve_apg_homotopy(
-            prob, ApgConfig(max_iter=2000, tol_x=1e-12, tol_obj=1e-12))
-        return abs(tr1.records[-1].phi - apg.records[-1].phi) \
-            <= 5e-2 * abs(apg.records[-1].phi)
-
-    return [("structure roundtrip", roundtrip), ("top singular pair", lanczos),
-            ("gradient check", gradient), ("solver determinism and agreement", end_to_end)]
-
-
-def run_selftest(args):
-    failures = 0
-    for name, check in _selftest_checks(args.seed):
-        try:
-            ok = check()
-        except Exception as exc:  # noqa: BLE001 - selftest reports, never raises
-            ok = False
-            print(f"FAIL {name}: {exc!r}")
-        if ok:
-            print(f"ok   {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}")
-    return 1 if failures else 0
-
-
 def main(argv=None):
-    parser, subparsers = build_parser()
-    args = _apply_config_file(parser, subparsers, argv)
-    if args.command == "ssr":
-        return run_ssr(args)
-    if args.command == "scs":
-        return run_scs(args)
-    if args.command == "bench":
-        return run_bench(args)
-    if args.command == "selftest":
-        return run_selftest(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    parser = build_parser()
+    args = parser.parse_args(_config_argv(parser, argv))
+    return {"ssr": run_ssr, "scs": run_scs, "bench": run_bench}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -54,10 +54,12 @@ class SolverConfig:
     def validate(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol_x <= 0 or self.tol_obj <= 0:
+        if not (self.tol_x > 0 and self.tol_obj > 0):
             raise ValueError("tolerances must be positive")
-        if self.lam_growth < 1.0:
+        if not self.lam_growth >= 1.0:
             raise ValueError("lam_growth must be at least 1 (1 disables continuation)")
+        if not np.isfinite(self.lam_max):
+            raise ValueError("lam_max must be finite")
 
     def stop_reason(self, dx, phi, phi_prev):
         """Why to stop after a step of size dx that took phi_prev to phi.
@@ -385,9 +387,12 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
 
 
 def lam_stages(lam, growth=10.0, lam_max=100.0):
-    """Geometric continuation weights from lam up to at most lam_max."""
+    """Geometric continuation weights from lam up to at most lam_max.
+
+    lam = 0 never grows, so it is a single stage.
+    """
     stages = [float(lam)]
-    while growth > 1.0 and stages[-1] < lam_max:
+    while growth > 1.0 and 0.0 < stages[-1] < lam_max:
         stages.append(min(stages[-1] * growth, float(lam_max)))
     return stages
 

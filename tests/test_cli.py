@@ -112,10 +112,14 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SSR_SMALL + ["--mu", "0.1", "--T", "3"],
     SSR_SMALL + ["--mu", "0.1", "--sigma", "-0.05"],
     SSR_SMALL + ["--mu", "0.1", "--sigma", "inf"],
+    SSR_SMALL + ["--mu", "0.1", "--lam-max", "inf"],
+    SSR_SMALL + ["--mu", "0.1", "--lam-max", "nan"],
+    SSR_SMALL + ["--mu", "0.1", "--lam-growth", "nan"],
 ], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
      "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg",
      "ssr-max-iter-0", "scs-lam-growth-below-1", "max-iter-0-apg",
-     "ssr-T-0", "ssr-T-equal-k", "ssr-sigma-negative", "ssr-sigma-inf"])
+     "ssr-T-0", "ssr-T-equal-k", "ssr-sigma-negative", "ssr-sigma-inf",
+     "ssr-lam-max-inf", "ssr-lam-max-nan", "ssr-lam-growth-nan"])
 def test_bad_experiment_parameters_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with warnings.catch_warnings():
@@ -158,6 +162,38 @@ def test_config_file_errors(tmp_path):
                   "--mu", "0.1", "--config", str(tmp_path / "missing.cfg")])
 
 
+@pytest.mark.parametrize("line", ["max-iter=ten", "solver=foo"])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SSR_SMALL + ["--mu", "0.1", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument --" in captured.err
+    assert not out.exists()
+
+
+def test_config_file_value_may_start_with_a_dash(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=-1\n")
+    out = tmp_path / "run"
+    code = cli.main(SSR_SMALL + ["--mu", "0.1", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "lam must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_config_file_sizes(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("size=2,2,2,6\nreps=1\niters=3\n")
+    assert cli.main(["bench", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "size,MN,time"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["4x12", "48"]]
+
+
 def test_bench_rejects_malformed_sizes(capsys):
     assert cli.main(["bench", "--size", "3,4"]) == 2
 
@@ -196,12 +232,6 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert mn == [2 * 2 * 2 * 6, 2 * 2 * 2 * 12]  # (m*j) x (n*k)
     with open(os.path.join(out, "bench.csv")) as fh:
         assert fh.read() == text
-
-
-def test_selftest_passes(capsys):
-    assert cli.main(["selftest", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok") == 4 and "FAIL" not in out
 
 
 def test_lam_growth_flag_disables_continuation(tmp_path, capsys):

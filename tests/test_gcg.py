@@ -25,6 +25,10 @@ def test_config_validation():
         GcgConfig(local_search_max_steps=-1).validate()
     with pytest.raises(ValueError):
         GcgConfig(lam_growth=0.5).validate()
+    for bad in (dict(lam_max=np.inf), dict(lam_max=np.nan), dict(lam_growth=np.nan),
+                dict(tol_x=np.nan), dict(tol_obj=np.nan)):
+        with pytest.raises(ValueError):
+            GcgConfig(**bad).validate()
 
 
 def test_rank_estimate_counts_strictly_above():
@@ -317,6 +321,7 @@ def test_lam_stages():
     assert lam_stages(2.0, 3.0, 10.0) == [2.0, 6.0, 10.0]
     assert lam_stages(5.0, 1.0, 100.0) == [5.0]       # growth 1 disables
     assert lam_stages(200.0, 10.0, 100.0) == [200.0]  # already past the cap
+    assert lam_stages(0.0, 10.0, 100.0) == [0.0]      # zero never grows
 
 
 def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
