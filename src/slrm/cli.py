@@ -1,10 +1,10 @@
 """Command-line entry points: the ssr and scs experiment runs and the bench.
 
 Flags mirror the math symbols (--j, --k, --mu, --lambda, ...), long names
-only.  Each key=value line of a --config file reads as the flag --key=value
-placed before the command line's own flags, so explicit flags win.  Exit
-codes: 0 success, 1 solver divergence (the partial trace is still written),
-2 usage errors.
+only.  Each key=value line of a --config file, given before or after the
+command, reads as the flag --key=value placed before the command line's
+own flags, so explicit flags win.  Exit codes: 0 success, 1 solver
+divergence (the partial trace is still written), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def build_parser():
 
 
 def _config_argv(parser, argv):
-    """argv with the --config file's lines spliced in after the command.
+    """argv with the --config file's lines spliced in after the command, and
+    the --config flag itself taken out, so it may also precede the command.
 
     Each key=value line becomes the single token --key=value (so a value
     that starts with "-" stays a value), and argparse checks it like any
@@ -94,7 +95,8 @@ def _config_argv(parser, argv):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    known, rest = pre.parse_known_args(argv)
+    path = known.config
     if path is None:
         return argv
     tokens = []
@@ -110,8 +112,9 @@ def _config_argv(parser, argv):
                 tokens.append(f"--{key.strip()}={value.strip()}")
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), -1) + 1
-    return argv[:at] + tokens + argv[at:]
+    # the command is the first token of rest that is not a flag
+    at = next((i for i, tok in enumerate(rest) if not tok.startswith("-")), -1) + 1
+    return rest[:at] + tokens + rest[at:]
 
 
 def _solver_config(args):

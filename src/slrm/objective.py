@@ -18,6 +18,12 @@ from .linalg import SparseMatrix, spmv, spmv_t, unvec, vec
 from .structure import StructureSpec, build_B, build_C
 
 
+# Largest lift (rows * cols) whose Hessian apply uses the merged matrix; the
+# crossover is measured at _hess_vec.  It stays below the 10,000-entry
+# lifts of cli.DEFAULT_BENCH_SIZES.
+MERGED_HESSIAN_MAX_SIZE = 2048
+
+
 class UnboundedDirectionError(RuntimeError):
     """Raised when the objective is unbounded below along a search ray."""
 
@@ -68,7 +74,13 @@ class FactorPair:
 
 @dataclass(frozen=True, eq=False)
 class PenaltyProblem:
-    """Assembled problem data; treat as immutable once constructed."""
+    """Assembled problem data; treat as immutable once constructed.
+
+    On lifts of at most ``MERGED_HESSIAN_MAX_SIZE`` entries the local search
+    applies the Hessian through ``hessian``, one merged sparse matrix built on
+    first use; ``replace(prob, lam=...)`` gives a problem that sums its own.
+    Larger lifts never build it (crossover table at ``_hess_vec``).
+    """
 
     rows: int
     cols: int
@@ -92,6 +104,13 @@ class PenaltyProblem:
         out = unvec(spmv_t(self.AC, self.target), self.rows, self.cols)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def hessian(self) -> SparseMatrix:
+        """``AC^T AC + lam B^T B`` as one SparseMatrix, summed on first use
+        from the Grams cached on AC and B (which every lam shares)."""
+        return SparseMatrix(self.AC.gram.to_scipy()
+                            + self.lam * self.B.gram.to_scipy())
 
 
 def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
@@ -145,7 +164,19 @@ def _grad_vec(prob: PenaltyProblem, x):
 
 
 def _hess_vec(prob: PenaltyProblem, x):
-    # (AC^T AC + lam B^T B) x on vec space
+    """``(AC^T AC + lam B^T B) x`` on vec space.
+
+    Up to ``MERGED_HESSIAN_MAX_SIZE`` lift entries this is one product with
+    ``prob.hessian``; above, the products with AC, AC^T and B's Gram, which
+    never build the merged matrix.  Per apply, separate against merged (2
+    cores, OpenBLAS at 1 thread, best of 5): ssr j6 k8 (192 entries)
+    21 / 6.0 us, j20 k24 (1,920) 37 / 27 us, j24 k30 (2,880) 40 / 43 us,
+    j30 k40 (4,800) 51 / 84 us; scs 16 k5 (3,600) 29 / 27 us; scs-31
+    (24,336) 145 / 498 us; scs-101 (565,504) 2.9 / 14 ms, and 0.52 s to
+    build the merged matrix.
+    """
+    if prob.size <= MERGED_HESSIAN_MAX_SIZE:
+        return spmv(prob.hessian, x)
     out = spmv_t(prob.AC, spmv(prob.AC, x))
     if prob.B.n_rows:
         out = out + prob.lam * spmv(prob.B.gram, x)

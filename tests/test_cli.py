@@ -145,6 +145,24 @@ def test_config_file_sets_defaults_but_flags_win(tmp_path, capsys):
     assert summary["iters"] <= 5         # file supplied max-iter
 
 
+@pytest.mark.parametrize("form", ["two-tokens", "equals"])
+def test_config_file_may_come_before_the_command(tmp_path, capsys, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu=0.1\nseed=9\nmax-iter=5\n")
+    flag = ["--config", str(cfg)] if form == "two-tokens" else [f"--config={cfg}"]
+    runs = {}
+    for where in ("before", "after"):
+        out = tmp_path / where
+        cmd = SSR_SMALL + ["--out", str(out)]
+        argv = flag + cmd if where == "before" else cmd + flag
+        assert cli.main(argv) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        summary.pop("wall_time_s")
+        runs[where] = summary, _mask_time(_read_trace(out / "trace.csv"))
+    assert runs["before"] == runs["after"]
+    assert runs["before"][0]["seed"] == 9 and runs["before"][0]["iters"] <= 5
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense=1\n")

@@ -9,8 +9,9 @@ from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
                       compress, lam_stages, local_search, rank_estimate,
                       recover_y, solve, solve_homotopy, structured_rank)
-from slrm.linalg import spmv_t, top_singular_pair, unvec, vec
-from slrm.objective import FactorPair, phi_value, psi_value, step_model
+from slrm.linalg import spmv, spmv_t, top_singular_pair, unvec, vec
+from slrm.objective import (MERGED_HESSIAN_MAX_SIZE, FactorPair, phi_value,
+                            psi_value, step_model)
 
 from conftest import random_hankel_problem
 
@@ -350,6 +351,39 @@ def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
     for t in stage_times:
         total += t
     assert tr_h.wall_time_s == total
+
+
+def test_merged_hessian_keeps_the_desk_homotopy(monkeypatch):
+    # The desk lift applies the merged Hessian; the three products it replaced
+    # must give every stage the same iterations, stop and psi to rounding.
+    prob = _desk_problem()
+    assert prob.size <= MERGED_HESSIAN_MAX_SIZE
+
+    def reference_hess_vec(p, x):
+        return spmv_t(p.AC, spmv(p.AC, x)) + p.lam * spmv(p.B.gram, x)
+
+    def stage_traces():
+        traces = []
+
+        def spied(*args, **kwargs):
+            fac, trace = solve(*args, **kwargs)
+            traces.append(trace)
+            return fac, trace
+
+        with monkeypatch.context() as m:
+            m.setattr(gcg, "solve", spied)
+            solve_homotopy(prob, GcgConfig(seed=7))
+        return traces
+
+    merged = stage_traces()
+    monkeypatch.setattr(gcg, "_hess_vec", reference_hess_vec)
+    separate = stage_traces()
+    assert len(merged) == len(separate) == 3
+    for a, b in zip(merged, separate):
+        assert len(a.records) == len(b.records)
+        assert a.converged_reason == b.converged_reason
+        np.testing.assert_allclose(a.column("psi"), b.column("psi"), rtol=1e-10,
+                                   atol=0)
 
 
 def test_solve_homotopy_single_stage_is_plain_solve(rng):
