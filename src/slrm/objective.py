@@ -20,7 +20,8 @@ from .structure import StructureSpec, build_B, build_C
 
 # Largest lift (rows * cols) whose Hessian apply uses the merged matrix; the
 # crossover is measured at _hess_vec.  It stays below the 10,000-entry
-# lifts of cli.DEFAULT_BENCH_SIZES.
+# lifts of cli.DEFAULT_BENCH_SIZES.  On these lifts gcg.local_search also
+# solves small blocks exactly from the merged matrix (gcg._exact_block).
 MERGED_HESSIAN_MAX_SIZE = 2048
 
 
@@ -77,9 +78,10 @@ class PenaltyProblem:
     """Assembled problem data; treat as immutable once constructed.
 
     On lifts of at most ``MERGED_HESSIAN_MAX_SIZE`` entries the local search
-    applies the Hessian through ``hessian``, one merged sparse matrix built on
-    first use; ``replace(prob, lam=...)`` gives a problem that sums its own.
-    Larger lifts never build it (crossover table at ``_hess_vec``).
+    uses ``hessian``, one merged sparse matrix built on first use, for its
+    Hessian applies and its exact block solves; ``replace(prob, lam=...)``
+    gives a problem that sums its own.  Larger lifts never build it
+    (crossover table at ``_hess_vec``).
     """
 
     rows: int
@@ -168,7 +170,9 @@ def _hess_vec(prob: PenaltyProblem, x):
 
     Up to ``MERGED_HESSIAN_MAX_SIZE`` lift entries this is one product with
     ``prob.hessian``; above, the products with AC, AC^T and B's Gram, which
-    never build the merged matrix.  Per apply, separate against merged (2
+    never build the merged matrix.  On small lifts the local search calls it
+    only for the CG steps of blocks too large to solve exactly
+    (``gcg._exact_block``).  Per apply, separate against merged (2
     cores, OpenBLAS at 1 thread, best of 5): ssr j6 k8 (192 entries)
     21 / 6.0 us, j20 k24 (1,920) 37 / 27 us, j24 k30 (2,880) 40 / 43 us,
     j30 k40 (4,800) 51 / 84 us; scs 16 k5 (3,600) 29 / 27 us; scs-31

@@ -94,7 +94,10 @@ def _spec_from_param_grid(param_of_position, rows, cols, n_params):
     ``range(n_params)`` must occur at least once.
     """
     flat = param_of_position.ravel(order="F")
-    order = np.argsort(flat, kind="stable")  # stable keeps positions ascending per group
+    # stable keeps positions ascending per group; on uint16 keys numpy's
+    # stable sort is a linear-time radix sort
+    keys = flat.astype(np.uint16) if n_params <= 1 << 16 else flat
+    order = np.argsort(keys, kind="stable")
     counts = np.bincount(flat, minlength=n_params)
     if np.any(counts == 0):
         raise ValueError("every parameter must appear in the grid")

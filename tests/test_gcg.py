@@ -7,11 +7,11 @@ from dataclasses import replace
 from slrm import apps, gcg
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
-                      compress, lam_stages, local_search, rank_estimate,
-                      recover_y, solve, solve_homotopy, structured_rank)
-from slrm.linalg import spmv, spmv_t, top_singular_pair, unvec, vec
-from slrm.objective import (MERGED_HESSIAN_MAX_SIZE, FactorPair, phi_value,
-                            psi_value, step_model)
+                      _recompressed, compress, lam_stages, local_search,
+                      rank_estimate, recover_y, solve, solve_homotopy,
+                      structured_rank)
+from slrm.linalg import SparseMatrix, spmv_t, top_singular_pair, unvec, vec
+from slrm.objective import FactorPair, phi_value, psi_value, step_model
 
 from conftest import random_hankel_problem
 
@@ -153,22 +153,36 @@ def _desk_problem():
 
 
 def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
+    # The first _recompressed call packs the initializer; each later one
+    # returns an iteration's candidate psi, which a hold would reject for
+    # rising past the previous row's psi.  theta = 0 is no sign of a hold:
+    # near sigma_top = mu it is the step model's own optimum.
     prob = _desk_problem()
     calls = []
+    packed_psi = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return local_search(*args, **kwargs)
 
+    def spied(*args, **kwargs):
+        out = _recompressed(*args, **kwargs)
+        packed_psi.append(out[1])
+        return out
+
     monkeypatch.setattr(gcg, "local_search", counted)
+    monkeypatch.setattr(gcg, "_recompressed", spied)
     for cfg in (GcgConfig(seed=7), GcgConfig(seed=7, max_iter=30, tol_obj=1e-300,
                                              tol_x=1e-300)):
         calls.clear()
+        packed_psi.clear()
         _, trace = solve(prob, cfg)
+        psi = trace.column("psi")
         assert len(calls) == len(trace.records) > 1
-        # a held iteration records theta = 0
-        assert np.all(trace.column("theta") > 0.0)
-        assert np.all(np.diff(trace.column("psi")) <= PSI_SLACK)
+        assert len(packed_psi) == len(trace.records) + 1
+        previous = np.concatenate([packed_psi[:1], psi[:-1]])
+        assert np.all(np.array(packed_psi[1:]) <= previous + PSI_SLACK)
+        assert np.all(np.diff(psi) <= PSI_SLACK)
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
@@ -353,37 +367,73 @@ def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
     assert tr_h.wall_time_s == total
 
 
-def test_merged_hessian_keeps_the_desk_homotopy(monkeypatch):
-    # The desk lift applies the merged Hessian; the three products it replaced
-    # must give every stage the same iterations, stop and psi to rounding.
+@pytest.mark.parametrize("lam", [0.0, 1.0, 30.0, "no B rows"])
+def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
+    # One sweep on the desk lift is two exact block solves, U with V held and
+    # then V with the new U; each is pinned to np.linalg.solve of its normal
+    # equations P^T H P + mu I built from the dense AC and B.
     prob = _desk_problem()
-    assert prob.size <= MERGED_HESSIAN_MAX_SIZE
+    if lam == "no B rows":
+        prob = replace(prob, B=SparseMatrix((0, prob.size)))
+    else:
+        prob = replace(prob, lam=lam)
+    m, n, r = prob.rows, prob.cols, 3
+    u = rng.standard_normal((m, r))
+    v = rng.standard_normal((r, n))
+    assert gcg._exact_block(prob, m * r) and gcg._exact_block(prob, r * n)
+    ac, bm = prob.AC.to_dense(), prob.B.to_dense()
+    hess = ac.T @ ac + prob.lam * bm.T @ bm
 
-    def reference_hess_vec(p, x):
-        return spmv_t(p.AC, spmv(p.AC, x)) + p.lam * spmv(p.B.gram, x)
+    def block_minimizer(p):
+        k = p.T @ hess @ p + prob.mu * np.eye(p.shape[1])
+        return np.linalg.solve(k, p.T @ (ac.T @ prob.target))
 
-    def stage_traces():
-        traces = []
+    u_ref = unvec(block_minimizer(np.kron(v.T, np.eye(m))), m, r)
+    v_ref = unvec(block_minimizer(np.kron(np.eye(n), u_ref)), r, n)
+    out = local_search(prob, u, v, budget=1)
+    for got, want in ((out.U, u_ref), (out.V, v_ref)):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
+
+def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
+    # At rank 8 on the desk lift the U block (d = 96) is solved exactly and
+    # the V block (d = 128) by CG.  The 46 x 45 lift (2,070 entries) never
+    # builds the merged Hessian, so every block takes CG.
+    prob = _desk_problem()
+    d_max = gcg.EXACT_BLOCK_MAX_WORK // prob.hessian.nnz
+    assert 96 <= d_max < 128
+    assert gcg._exact_block(prob, d_max) and not gcg._exact_block(prob, d_max + 1)
+    paths = []
+
+    def spy(name, fn):
         def spied(*args, **kwargs):
-            fac, trace = solve(*args, **kwargs)
-            traces.append(trace)
-            return fac, trace
+            out = fn(*args, **kwargs)
+            paths.append((name, out.shape))
+            return out
+        monkeypatch.setattr(gcg, fn.__name__, spied)
 
-        with monkeypatch.context() as m:
-            m.setattr(gcg, "solve", spied)
-            solve_homotopy(prob, GcgConfig(seed=7))
-        return traces
+    spy("exact", gcg._cholesky_solve)
+    spy("cg", gcg._block_cg)
+    local_search(prob, rng.standard_normal((12, 8)), rng.standard_normal((8, 16)),
+                 budget=2, rel_floor=0.0)
+    assert paths == [("exact", (12, 8)), ("cg", (8, 16))] * 2
+    big = random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6)
+    paths.clear()
+    local_search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)),
+                 budget=1)
+    assert paths == [("cg", (46, 1)), ("cg", (1, 45))]
+    assert not gcg._exact_block(big, 1) and "hessian" not in vars(big)
 
-    merged = stage_traces()
-    monkeypatch.setattr(gcg, "_hess_vec", reference_hess_vec)
-    separate = stage_traces()
-    assert len(merged) == len(separate) == 3
-    for a, b in zip(merged, separate):
-        assert len(a.records) == len(b.records)
-        assert a.converged_reason == b.converged_reason
-        np.testing.assert_allclose(a.column("psi"), b.column("psi"), rtol=1e-10,
-                                   atol=0)
+
+def test_a_block_that_is_not_positive_definite_stays_unmoved(rng):
+    g = rng.standard_normal((6, 6))
+    indefinite = g + g.T - 20.0 * np.eye(6)
+    x0 = rng.standard_normal((3, 2))
+    assert gcg._cholesky_solve(indefinite.copy(), rng.standard_normal((3, 2)), x0) is x0
+    spd = g @ g.T + np.eye(6)
+    rhs = rng.standard_normal((3, 2))
+    np.testing.assert_allclose(vec(gcg._cholesky_solve(spd.copy(), rhs, x0)),
+                               np.linalg.solve(spd, vec(rhs)), rtol=1e-10)
 
 
 def test_solve_homotopy_single_stage_is_plain_solve(rng):

@@ -291,6 +291,25 @@ def test_builder_specs_match_the_general_constructor():
                 np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
 
 
+@pytest.mark.parametrize("spec", [
+    hankel_spec(4, 5), hankel_spec(1, 1 << 16), hankel_spec(2, 1 << 16),
+    block_hankel_spec(2, 3, 3, 2), block_hankel_spec(2, 2, 6, 8),
+    two_fold_hankel_spec(5, 6, 3, 4), two_fold_hankel_spec(31, 31, 6, 6),
+], ids=["hankel", "hankel_65536_params", "hankel_65537_params", "block_hankel",
+        "ssr_desk", "two_fold", "scs_31"])
+def test_supports_match_an_int64_stable_argsort(spec):
+    # the builders may sort narrower keys; the supports must be the int64
+    # stable argsort of the parameter grid, cut at the parameter counts
+    grid = apply_structure(spec, np.arange(spec.n_params, dtype=float))
+    flat = vec(grid).astype(np.int64)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=spec.n_params)
+    np.testing.assert_array_equal(list(map(len, spec.supports)), counts)
+    joined = np.concatenate(spec.supports)
+    assert joined.dtype == np.int64
+    np.testing.assert_array_equal(joined, order)
+
+
 def test_sparse_mode_reads_first_occurrence():
     spec = hankel_spec(2, 2)
     x = np.array([[1.0, 5.0], [2.0, 3.0]])  # not structured: 5 != 2
