@@ -1,4 +1,4 @@
-"""Command-line entry points: the ssr and scs experiment runs and the bench.
+"""Command-line entry points: the ssr and scs experiment runs.
 
 Flags mirror the math symbols (--j, --k, --mu, --lambda, ...), long names
 only.  Each key=value line of a --config file, given before or after the
@@ -13,16 +13,13 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import apps
 from .baseline import ApgConfig, solve_apg_homotopy
-from .gcg import DivergedError, GcgConfig, SolveTrace, solve, solve_homotopy
+from .gcg import DivergedError, GcgConfig, SolveTrace, solve_homotopy
 from .linalg import spmv, unvec, vec
-from .objective import assemble
-from .structure import block_hankel_spec
 
 SOLVERS = ("gcg", "gcgls", "apg-svt")
 
@@ -72,14 +69,6 @@ def build_parser():
     # down.  Order estimation (ssr) keeps the default ladder.
     scs.set_defaults(lam_growth=1.0)
 
-    bench_p = sub.add_parser("bench", help="per-iteration timing over problem sizes")
-    bench_p.add_argument("--size", action="append", default=None, metavar="m,n,j,k",
-                         help="block-Hankel size; repeatable")
-    bench_p.add_argument("--reps", type=int, default=3)
-    bench_p.add_argument("--iters", type=int, default=10)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--out", default=None)
-    bench_p.add_argument("--config", default=None)
     return p
 
 
@@ -198,7 +187,7 @@ def run_scs(args):
             fh.write("row,col,value\n")
             for rr in range(cfg.n1):
                 for cc in range(cfg.n2):
-                    fh.write(f"{rr},{cc},{grid[rr, cc]!r}\n")
+                    fh.write(f"{rr},{cc},{float(grid[rr, cc])!r}\n")
         err = np.linalg.norm(grid - data.signal) / np.linalg.norm(data.signal)
         return {"normalized_error": float(err)}
 
@@ -206,68 +195,10 @@ def run_scs(args):
                     apps.save_scs_data, "signal.csv", write_grid)
 
 
-DEFAULT_BENCH_SIZES = ((5, 5, 4, 100), (5, 5, 4, 400), (5, 5, 4, 1600))
-
-
-def bench(sizes=DEFAULT_BENCH_SIZES, reps=3, iters=10, seed=0):
-    """Mean per-iteration wall time of the factored solver per problem size.
-
-    Fixed iteration count and a small fixed local-search budget, so the
-    factor rank trajectory is identical across sizes; structured-rank
-    tracking is off to keep the timing about the solver itself.
-    """
-    rows = []
-    for (m, n, j, k) in sizes:
-        spec = block_hankel_spec(m, n, j, k)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(m, n, j, k)))
-        y = rng.standard_normal(spec.n_params)
-        sel = apps._selection_matrix(np.arange(spec.n_params), spec.n_params)
-        prob = assemble(spec, sel, y, lam=1.0, mu=0.1)
-        cfg = GcgConfig(max_iter=iters, tol_x=1e-300, tol_obj=1e-300,
-                        local_search_max_steps=5, track_structured_rank=False,
-                        recompress=False, seed=seed)
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            _, trace = solve(prob, cfg)
-            times.append((time.perf_counter() - t0) / max(1, len(trace.records)))
-        rows.append({"size": f"{m * j}x{n * k}", "MN": m * j * n * k,
-                     "time": float(np.mean(times))})
-    return rows
-
-
-def run_bench(args):
-    if args.reps < 1 or args.iters < 1:
-        return _usage_error("--reps and --iters must be at least 1")
-    sizes = []
-    for text in args.size or []:
-        try:
-            size = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            size = ()
-        if len(size) != 4 or min(size) < 1:
-            return _usage_error(f"bad --size {text!r}: expected four positive "
-                                "integers m,n,j,k")
-        sizes.append(size)
-    rows = bench(sizes or DEFAULT_BENCH_SIZES, reps=args.reps, iters=args.iters,
-                 seed=args.seed)
-    lines = ["size,MN,time"]
-    for row in rows:
-        lines.append(f"{row['size']},{row['MN']},{row['time']!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "bench.csv"), "w") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_config_argv(parser, argv))
-    return {"ssr": run_ssr, "scs": run_scs, "bench": run_bench}[args.command](args)
+    return {"ssr": run_ssr, "scs": run_scs}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ together: psi is a convex quadratic in (a, theta), minimized in closed form
 over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
 improve the factors: on small lifts a block with few unknowns is solved
 exactly from its reduced normal matrix by one Cholesky factorization, any
-other block by a few conjugate-gradient steps.  A thin-SVD re-balance keeps
+other block by a few steps of scipy's conjugate gradient, whose Hessian
+applies are sparse products with AC and B.  A thin-SVD re-balance keeps
 the surrogate on the nuclear norm.  No move raises the surrogate objective
 psi beyond rounding.
 """
@@ -19,16 +20,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dposv
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
-from .objective import (MERGED_HESSIAN_MAX_SIZE, FactorPair, PenaltyProblem,
-                        _hess_vec, factor_nuclear_norm, factor_svd, grad_f,
-                        phi_value, psi_value, smooth_terms, step_model)
+from .objective import (FactorPair, PenaltyProblem, _hess_vec,
+                        factor_nuclear_norm, factor_svd, grad_f, phi_value,
+                        psi_value, smooth_terms, step_model)
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
-# Largest nnz(H) * d (H the merged Hessian, d the block's unknowns) for which
-# local_search solves a block exactly; see _exact_block.
+# A local-search block is solved exactly (_exact_block) only on lifts of at
+# most MERGED_HESSIAN_MAX_SIZE entries, which build the merged Hessian H,
+# and only while nnz(H) * d (d the block's unknowns) is at most
+# EXACT_BLOCK_MAX_WORK.
+MERGED_HESSIAN_MAX_SIZE = 2048
 EXACT_BLOCK_MAX_WORK = 100_000
 CSV_HEADER = "iter,time_s,phi,f,sqloss,psi,theta,sigma_top,rank,factor_rank"
 
@@ -89,8 +94,8 @@ class GcgConfig(SolverConfig):
 
     The rest is fixed: atoms are the exact top singular pair of -grad f;
     the local search solves a block exactly where ``_exact_block`` allows
-    it and by at most 10 CG steps elsewhere, and stops below a 1e-4
-    relative improvement; the rank column counts values above 1e-3,
+    it and by at most 10 steps of scipy's ``cg`` elsewhere, and stops below
+    a 1e-4 relative improvement; the rank column counts values above 1e-3,
     recompression drops values at or below 1e-10, and a step that would
     raise psi past rounding is always held.
     """
@@ -216,36 +221,6 @@ def _recompressed(prob: PenaltyProblem, factors: FactorPair, psi):
     return factors, psi
 
 
-def _block_cg(apply_mat, rhs, x0, r0, max_iter, tol=1e-10):
-    """CG for an SPD block system, warm started at the current block.
-
-    ``r0`` is the residual ``rhs - apply_mat(x0)``, which the caller has
-    already formed; it is updated in place.  Each step makes one operator
-    apply.  Started from the current factor block, every CG step decreases
-    the block quadratic, i.e. psi; stopping early therefore never breaks
-    the descent contract of the local search.
-    """
-    x = x0.copy()
-    r = r0
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    floor = tol * max(1.0, float(np.vdot(rhs, rhs)))
-    for _ in range(max_iter):
-        if rs <= floor:
-            break
-        ap = apply_mat(p)
-        denom = float(np.vdot(p, ap))
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
-
-
 def _block_normal(prob: PenaltyProblem, u, v, side):
     """Reduced normal matrix ``K = P^T H P + mu I`` of one local-search block.
 
@@ -276,18 +251,22 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
 def _exact_block(prob: PenaltyProblem, d):
     """Whether a local-search block of d unknowns is solved exactly.
 
-    Only on lifts with the merged Hessian H, and only while ``nnz(H) * d``,
-    the work of ``H @ P``, is at most ``EXACT_BLOCK_MAX_WORK``; the d^3/3
-    Cholesky grows with it.  The bound sits below the measured crossover,
-    where at most 10 CG steps start to cost less: between 101k and 151k on
-    the desk lift, near 190k on j8 k10.  One sweep from a random start, CG
-    against exact (2 cores, OpenBLAS at 1 thread, best of 7), by the larger
-    block's work: ssr j6 k8 (192 entries,
-    nnz 788) r 2 (25k) 376 / 163 us, r 6 (76k) 542 / 371 us, r 8 (101k)
-    661 / 484 us, r 12 (151k) 717 / 1,658 us; j8 k10 (320, nnz 1,604) r 3
-    (96k) 562 / 337 us, r 6 (192k) 596 / 593 us, r 8 (257k) 729 / 1,454
-    us; j12 k16 (768, nnz 5,604) r 1 (179k) 546 / 400 us, r 2 (359k)
-    571 / 646 us; j20 k24 (1,920, nnz 20,004) r 1 (960k) 505 / 968 us.
+    Only on lifts of at most ``MERGED_HESSIAN_MAX_SIZE`` entries, where the
+    merged Hessian H is built, and only while ``nnz(H) * d``, the work of
+    ``H @ P``, is at most ``EXACT_BLOCK_MAX_WORK``; the d^3/3 Cholesky grows
+    with it.  The bound sits below the measured crossover, where at most 10
+    CG steps start to cost less: between 101k and 151k on the desk lift,
+    near 190k on j8 k10.  Those CG steps applied H itself, which is cheaper
+    than the separate products CG now makes (6 against 21 us per apply on
+    the desk lift, 27 against 37 us on j20 k24), so the bound errs toward
+    CG.  One sweep from a random start, CG against exact (2 cores, OpenBLAS
+    at 1 thread, best of 7), by the larger block's work: ssr j6 k8 (192
+    entries, nnz 788) r 2 (25k) 376 / 163 us, r 6 (76k) 542 / 371 us, r 8
+    (101k) 661 / 484 us, r 12 (151k) 717 / 1,658 us; j8 k10 (320, nnz
+    1,604) r 3 (96k) 562 / 337 us, r 6 (192k) 596 / 593 us, r 8 (257k)
+    729 / 1,454 us; j12 k16 (768, nnz 5,604) r 1 (179k) 546 / 400 us, r 2
+    (359k) 571 / 646 us; j20 k24 (1,920, nnz 20,004) r 1 (960k) 505 / 968
+    us.
     """
     return (prob.size <= MERGED_HESSIAN_MAX_SIZE
             and prob.hessian.nnz * d <= EXACT_BLOCK_MAX_WORK)
@@ -307,16 +286,18 @@ def _cholesky_solve(k, rhs, x0):
 
 
 def local_search(prob: PenaltyProblem, u_init, v_init, budget,
-                 rel_floor=1e-4, cg_iters=10, return_history=False):
+                 rel_floor=1e-4, return_history=False):
     """Alternating ridge solves on U and V (block minimization of psi).
 
     With one factor held fixed psi is a strongly convex quadratic in the
     other.  A small block (``_exact_block``) is minimized exactly through
-    its reduced normal matrix (``_block_normal``) and one Cholesky solve;
-    any other block by at most ``cg_iters`` warm-started conjugate-gradient
-    steps.  Never returns a point with psi above the initializer beyond
-    rounding; stops on the sweep budget, a vanishing block gradient, or a
-    relative improvement below rel_floor.
+    its reduced normal matrix (``_block_normal``) and one Cholesky solve,
+    unless its gradient already vanishes.  Any other block takes scipy's
+    ``cg`` warm started at the block: at most 10 steps, stopping once
+    ``|r| <= 1e-5 max(1, |rhs|)``.  Started there, every CG step lowers the
+    block quadratic, so stopping early keeps descent.  Never returns a
+    point with psi above the initializer beyond rounding; stops on the
+    sweep budget or a relative improvement below rel_floor.
     """
     u = np.array(u_init, dtype=float, copy=True)
     v = np.array(v_init, dtype=float, copy=True)
@@ -344,15 +325,18 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
                     return _u.T @ unvec(w, m, n) + prob.mu * vb
 
                 block, rhs = v, u.T @ rhs_full
+            shape = block.shape
             if _exact_block(prob, block.size):
                 k = _block_normal(prob, u, v, side)
-                res = rhs - unvec(k @ vec(block), *block.shape)
+                res = rhs - unvec(k @ vec(block), *shape)
                 if float(np.vdot(res, res)) > gtol2:
                     block = _cholesky_solve(k, rhs, block)
             else:
-                res = rhs - apply_mat(block)
-                if float(np.vdot(res, res)) > gtol2:
-                    block = _block_cg(apply_mat, rhs, block, res, cg_iters)
+                op = LinearOperator(
+                    (block.size,) * 2, dtype=float,
+                    matvec=lambda x: apply_mat(x.reshape(shape)).ravel())
+                x, _ = cg(op, rhs.ravel(), x0=block.ravel(), atol=1e-5, maxiter=10)
+                block = x.reshape(shape)
             if side == "u":
                 u = block
             else:

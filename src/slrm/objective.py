@@ -18,13 +18,6 @@ from .linalg import SparseMatrix, spmv, spmv_t, unvec, vec
 from .structure import StructureSpec, build_B, build_C
 
 
-# Largest lift (rows * cols) whose Hessian apply uses the merged matrix; the
-# crossover is measured at _hess_vec.  It stays below the 10,000-entry
-# lifts of cli.DEFAULT_BENCH_SIZES.  On these lifts gcg.local_search also
-# solves small blocks exactly from the merged matrix (gcg._exact_block).
-MERGED_HESSIAN_MAX_SIZE = 2048
-
-
 class UnboundedDirectionError(RuntimeError):
     """Raised when the objective is unbounded below along a search ray."""
 
@@ -77,11 +70,9 @@ class FactorPair:
 class PenaltyProblem:
     """Assembled problem data; treat as immutable once constructed.
 
-    On lifts of at most ``MERGED_HESSIAN_MAX_SIZE`` entries the local search
-    uses ``hessian``, one merged sparse matrix built on first use, for its
-    Hessian applies and its exact block solves; ``replace(prob, lam=...)``
-    gives a problem that sums its own.  Larger lifts never build it
-    (crossover table at ``_hess_vec``).
+    ``hessian``, one merged sparse matrix built on first use, serves only the
+    local search's exact block solves on small lifts (``gcg._exact_block``);
+    ``replace(prob, lam=...)`` gives a problem that sums its own.
     """
 
     rows: int
@@ -166,21 +157,11 @@ def _grad_vec(prob: PenaltyProblem, x):
 
 
 def _hess_vec(prob: PenaltyProblem, x):
-    """``(AC^T AC + lam B^T B) x`` on vec space.
+    """``(AC^T AC + lam B^T B) x`` on vec space, for the local search's CG.
 
-    Up to ``MERGED_HESSIAN_MAX_SIZE`` lift entries this is one product with
-    ``prob.hessian``; above, the products with AC, AC^T and B's Gram, which
-    never build the merged matrix.  On small lifts the local search calls it
-    only for the CG steps of blocks too large to solve exactly
-    (``gcg._exact_block``).  Per apply, separate against merged (2
-    cores, OpenBLAS at 1 thread, best of 5): ssr j6 k8 (192 entries)
-    21 / 6.0 us, j20 k24 (1,920) 37 / 27 us, j24 k30 (2,880) 40 / 43 us,
-    j30 k40 (4,800) 51 / 84 us; scs 16 k5 (3,600) 29 / 27 us; scs-31
-    (24,336) 145 / 498 us; scs-101 (565,504) 2.9 / 14 ms, and 0.52 s to
-    build the merged matrix.
+    Products with AC, AC^T and B's Gram; neither ``prob.hessian`` nor AC's
+    Gram is built.
     """
-    if prob.size <= MERGED_HESSIAN_MAX_SIZE:
-        return spmv(prob.hessian, x)
     out = spmv_t(prob.AC, spmv(prob.AC, x))
     if prob.B.n_rows:
         out = out + prob.lam * spmv(prob.B.gram, x)

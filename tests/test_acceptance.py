@@ -19,9 +19,9 @@ import pytest
 
 from slrm import apps, cli
 from slrm.baseline import ApgConfig, solve_apg_homotopy
-from slrm.gcg import GcgConfig, rank_estimate, recover_y, solve_homotopy
+from slrm.gcg import GcgConfig, rank_estimate, recover_y, solve, solve_homotopy
 from slrm.linalg import spmv, top_singular_pair, unvec, vec
-from slrm.objective import FactorPair, f_value, grad_f, step_model
+from slrm.objective import FactorPair, assemble, f_value, grad_f, step_model
 from slrm.structure import (RecoveryMode, apply_structure, block_hankel_spec,
                             build_B, build_C, hankel_spec, project_to_image,
                             two_fold_hankel_spec)
@@ -323,8 +323,39 @@ def test_grid_recovery_small_and_large(capsys, tmp_path):
              f"101x101 seed 0: err={err_l:.3f} in {dt_l:.1f}s")
 
 
+DEFAULT_BENCH_SIZES = ((5, 5, 4, 100), (5, 5, 4, 400), (5, 5, 4, 1600))
+
+
+def bench(sizes=DEFAULT_BENCH_SIZES, reps=3, iters=10, seed=0):
+    """Mean per-iteration wall time of the factored solver per problem size.
+
+    Fixed iteration count and a small fixed local-search budget, so the
+    factor rank trajectory is identical across sizes; structured-rank
+    tracking is off to keep the timing about the solver itself.
+    """
+    rows = []
+    for (m, n, j, k) in sizes:
+        spec = block_hankel_spec(m, n, j, k)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=int(seed), spawn_key=(m, n, j, k)))
+        y = rng.standard_normal(spec.n_params)
+        sel = apps._selection_matrix(np.arange(spec.n_params), spec.n_params)
+        prob = assemble(spec, sel, y, lam=1.0, mu=0.1)
+        cfg = GcgConfig(max_iter=iters, tol_x=1e-300, tol_obj=1e-300,
+                        local_search_max_steps=5, track_structured_rank=False,
+                        recompress=False, seed=seed)
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            _, trace = solve(prob, cfg)
+            times.append((time.perf_counter() - t0) / max(1, len(trace.records)))
+        rows.append({"size": f"{m * j}x{n * k}", "MN": m * j * n * k,
+                     "time": float(np.mean(times))})
+    return rows
+
+
 def test_per_iteration_cost_scaling(capsys):
-    rows = cli.bench(reps=3, iters=10, seed=0)
+    rows = bench(reps=3, iters=10, seed=0)
     times = [row["time"] for row in rows]
     sizes = [row["MN"] for row in rows]
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from slrm import apps, gcg
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
-                      SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
+                      SolveTrace, TraceRecord, _augment, _frob_dist,
                       _recompressed, compress, lam_stages, local_search,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
@@ -106,30 +106,40 @@ def test_local_search_stops_at_the_improvement_floor(rng):
         1 + abs(psi_value(prob, deep)))
 
 
-@pytest.mark.parametrize("max_iter", [1, 3, 8])
-def test_block_cg_makes_at_most_max_iter_applies(rng, max_iter):
-    g = rng.standard_normal((8, 8))
-    h = g @ g.T + 0.5 * np.eye(8)
-    rhs = rng.standard_normal((8, 2))
-    x0 = rng.standard_normal((8, 2))
-    applies = 0
+def test_cg_block_solves_above_the_size_cutoff(rng, monkeypatch):
+    # A 2 x 1100 Hankel lift (2,200 entries) solves every block by scipy's
+    # cg: U (2 unknowns) lands on its normal-equation solution, a block
+    # costs at most 11 Hessian applies (the first residual and 10 steps),
+    # and cg leaves the start block as it was.
+    prob = random_hankel_problem(rng, j=2, k=1100, lam=1.3, frac=0.6)
+    assert prob.size > gcg.MERGED_HESSIAN_MAX_SIZE
+    u = rng.standard_normal((2, 1))
+    v = rng.standard_normal((1, 1100))
+    applies, per_block, solutions = [0], [], []
+    hess_vec, cg = gcg._hess_vec, gcg.cg
 
-    def apply_mat(x):
-        nonlocal applies
-        applies += 1
-        return h @ x
+    def counted_hess_vec(*args):
+        applies[0] += 1
+        return hess_vec(*args)
 
-    start = x0.copy()
-    x = _block_cg(apply_mat, rhs, x0, rhs - h @ x0, max_iter)
-    assert applies <= max_iter
-    np.testing.assert_array_equal(x0, start)  # the start block is not touched
+    def spied_cg(op, rhs, x0, **kwargs):
+        start, before = x0.copy(), applies[0]
+        out = cg(op, rhs, x0=x0, **kwargs)
+        np.testing.assert_array_equal(x0, start)
+        per_block.append(applies[0] - before)
+        solutions.append(out[0].copy())
+        return out
 
-    def quad(z):
-        return 0.5 * float(np.sum(z * (h @ z))) - float(np.sum(rhs * z))
-
-    assert quad(x) < quad(x0)
-    if max_iter == 8:  # 8 steps solve each 8-dimensional column system
-        np.testing.assert_allclose(x, np.linalg.solve(h, rhs), rtol=1e-8)
+    monkeypatch.setattr(gcg, "_hess_vec", counted_hess_vec)
+    monkeypatch.setattr(gcg, "cg", spied_cg)
+    local_search(prob, u, v, budget=3, rel_floor=0.0)
+    assert len(per_block) == 6 and max(per_block) <= 11
+    assert sum(per_block) == applies[0]
+    ac, b = prob.AC.to_scipy(), prob.B.to_scipy()
+    p = np.kron(v.T, np.eye(2))
+    k = p.T @ (ac.T @ (ac @ p) + prob.lam * (b.T @ (b @ p))) + prob.mu * np.eye(2)
+    want = np.linalg.solve(k, p.T @ (ac.T @ prob.target))
+    assert np.linalg.norm(solutions[0] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_a_zero_step_drops_the_old_block(rng):
@@ -408,20 +418,20 @@ def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
     def spy(name, fn):
         def spied(*args, **kwargs):
             out = fn(*args, **kwargs)
-            paths.append((name, out.shape))
+            paths.append((name, np.size(out[0] if name == "cg" else out)))
             return out
         monkeypatch.setattr(gcg, fn.__name__, spied)
 
     spy("exact", gcg._cholesky_solve)
-    spy("cg", gcg._block_cg)
+    spy("cg", gcg.cg)
     local_search(prob, rng.standard_normal((12, 8)), rng.standard_normal((8, 16)),
                  budget=2, rel_floor=0.0)
-    assert paths == [("exact", (12, 8)), ("cg", (8, 16))] * 2
+    assert paths == [("exact", 96), ("cg", 128)] * 2
     big = random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6)
     paths.clear()
     local_search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)),
                  budget=1)
-    assert paths == [("cg", (46, 1)), ("cg", (1, 45))]
+    assert paths == [("cg", 46), ("cg", 45)]
     assert not gcg._exact_block(big, 1) and "hessian" not in vars(big)
 
 
