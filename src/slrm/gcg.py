@@ -35,6 +35,7 @@ PSI_SLACK = 1e-12
 # EXACT_BLOCK_MAX_WORK.
 MERGED_HESSIAN_MAX_SIZE = 2048
 EXACT_BLOCK_MAX_WORK = 100_000
+BLOCK_CG_MAX_ITER = 10
 CSV_HEADER = "iter,time_s,phi,f,sqloss,psi,theta,sigma_top,rank,factor_rank"
 
 
@@ -285,6 +286,20 @@ def _cholesky_solve(k, rhs, x0):
     return unvec(x, *x0.shape)
 
 
+def _block_cg(apply_mat, rhs, x0, max_iter=BLOCK_CG_MAX_ITER):
+    """Approximate ``K^{-1} rhs`` by scipy's ``cg`` warm started at ``x0``.
+
+    ``apply_mat`` applies K to a block shaped like ``x0``.  One apply gives
+    the start residual and each of at most ``max_iter`` steps makes one more;
+    cg stops once ``|r| <= 1e-5 max(1, |rhs|)``.  ``x0`` is not modified.
+    """
+    shape = x0.shape
+    op = LinearOperator((x0.size,) * 2, dtype=float,
+                        matvec=lambda x: apply_mat(x.reshape(shape)).ravel())
+    x, _ = cg(op, rhs.ravel(), x0=x0.ravel(), atol=1e-5, maxiter=max_iter)
+    return x.reshape(shape)
+
+
 def local_search(prob: PenaltyProblem, u_init, v_init, budget,
                  rel_floor=1e-4, return_history=False):
     """Alternating ridge solves on U and V (block minimization of psi).
@@ -293,11 +308,11 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
     other.  A small block (``_exact_block``) is minimized exactly through
     its reduced normal matrix (``_block_normal``) and one Cholesky solve,
     unless its gradient already vanishes.  Any other block takes scipy's
-    ``cg`` warm started at the block: at most 10 steps, stopping once
-    ``|r| <= 1e-5 max(1, |rhs|)``.  Started there, every CG step lowers the
-    block quadratic, so stopping early keeps descent.  Never returns a
-    point with psi above the initializer beyond rounding; stops on the
-    sweep budget or a relative improvement below rel_floor.
+    ``cg`` warm started at the block (``_block_cg``): at most 10 steps,
+    stopping once ``|r| <= 1e-5 max(1, |rhs|)``.  Started there, every CG
+    step lowers the block quadratic, so stopping early keeps descent.
+    Never returns a point with psi above the initializer beyond rounding;
+    stops on the sweep budget or a relative improvement below rel_floor.
     """
     u = np.array(u_init, dtype=float, copy=True)
     v = np.array(v_init, dtype=float, copy=True)
@@ -325,18 +340,13 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
                     return _u.T @ unvec(w, m, n) + prob.mu * vb
 
                 block, rhs = v, u.T @ rhs_full
-            shape = block.shape
             if _exact_block(prob, block.size):
                 k = _block_normal(prob, u, v, side)
-                res = rhs - unvec(k @ vec(block), *shape)
+                res = rhs - unvec(k @ vec(block), *block.shape)
                 if float(np.vdot(res, res)) > gtol2:
                     block = _cholesky_solve(k, rhs, block)
             else:
-                op = LinearOperator(
-                    (block.size,) * 2, dtype=float,
-                    matvec=lambda x: apply_mat(x.reshape(shape)).ravel())
-                x, _ = cg(op, rhs.ravel(), x0=block.ravel(), atol=1e-5, maxiter=10)
-                block = x.reshape(shape)
+                block = _block_cg(apply_mat, rhs, block)
             if side == "u":
                 u = block
             else:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from slrm import apps, gcg
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
-                      SolveTrace, TraceRecord, _augment, _frob_dist,
+                      SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
                       _recompressed, compress, lam_stages, local_search,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
@@ -104,6 +104,32 @@ def test_local_search_stops_at_the_improvement_floor(rng):
     deeper = local_search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
     assert psi_value(prob, deep) - psi_value(prob, deeper) <= 1e-9 * (
         1 + abs(psi_value(prob, deep)))
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 8])
+def test_block_cg_makes_at_most_max_iter_applies(rng, max_iter):
+    g = rng.standard_normal((8, 8))
+    h = g @ g.T + 0.5 * np.eye(8)
+    rhs = rng.standard_normal((8, 2))
+    x0 = rng.standard_normal((8, 2))
+    applies = 0
+
+    def apply_mat(x):
+        nonlocal applies
+        applies += 1
+        return h @ x
+
+    start = x0.copy()
+    x = _block_cg(apply_mat, rhs, x0, max_iter)
+    assert applies <= max_iter + 1  # the start residual, then one per step
+    np.testing.assert_array_equal(x0, start)  # the start block is not touched
+
+    def quad(z):
+        return 0.5 * float(np.sum(z * (h @ z))) - float(np.sum(rhs * z))
+
+    assert quad(x) < quad(x0)
+    if max_iter == 8:  # 8 steps solve each 8-dimensional column system
+        np.testing.assert_allclose(x, np.linalg.solve(h, rhs), rtol=1e-8)
 
 
 def test_cg_block_solves_above_the_size_cutoff(rng, monkeypatch):
