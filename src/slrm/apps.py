@@ -195,6 +195,8 @@ def sinusoid_grid(n1, n2, f1, f2, phases, amps=None):
 
 
 def scs_generate(cfg: ScsConfig) -> ScsData:
+    if cfg.r < 1:
+        raise ValueError("r must be at least 1, or the signal is zero")
     if not 0.0 < cfg.snr < np.inf:
         raise ValueError("snr must be positive and finite")
     if not 0.0 < cfg.obs_fraction <= 1.0:

@@ -5,12 +5,12 @@ pair of the negated gradient as the new rank-one atom.  One exact step then
 picks the shrink a of the current factors and the weight theta of the atom
 together: psi is a convex quadratic in (a, theta), minimized in closed form
 over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
-improve the factors: on small lifts a block with few unknowns is solved
+improve the factors: a block of few unknowns on a small lift is solved
 exactly from its reduced normal matrix by one Cholesky factorization, any
-other block by a few steps of scipy's conjugate gradient, whose Hessian
-applies are sparse products with AC and B.  A thin-SVD re-balance keeps
-the surrogate on the nuclear norm.  No move raises the surrogate objective
-psi beyond rounding.
+other block by a few steps of scipy's conjugate gradient.  Both apply the
+Hessian as the same sparse products with AC and B.  A thin-SVD re-balance
+keeps the surrogate on the nuclear norm.  No move raises the surrogate
+objective psi beyond rounding.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from .objective import (FactorPair, PenaltyProblem, _hess_vec,
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
-# A local-search block is solved exactly (_exact_block) only on lifts of at
-# most MERGED_HESSIAN_MAX_SIZE entries, which build the merged Hessian H,
-# and only while nnz(H) * d (d the block's unknowns) is at most
-# EXACT_BLOCK_MAX_WORK.
-MERGED_HESSIAN_MAX_SIZE = 2048
-EXACT_BLOCK_MAX_WORK = 100_000
+# A local-search block of d unknowns is solved exactly (_exact_block) while
+# prob.size * d, the entries of its columns of vec(U V), is at most this.
+EXACT_BLOCK_MAX_ENTRIES = 24_000
 BLOCK_CG_MAX_ITER = 10
 CSV_HEADER = "iter,time_s,phi,f,sqloss,psi,theta,sigma_top,rank,factor_rank"
 
@@ -227,8 +224,8 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
 
     ``P`` maps the free block's vec to vec(U V) with the other factor held:
     ``P = V^T kron I_M`` for U (d = M r), ``I_N kron U`` for V (d = r N).  K
-    takes one sparse-by-dense product ``H @ P`` with the merged Hessian and
-    one contraction of its rows with V (or U^T); P is written through its
+    takes one Hessian apply ``_hess_vec`` on the d columns of P and one
+    contraction of its rows with V (or U^T); P is written through its
     nonzero pattern, not by ``np.kron``.
     """
     m, n = prob.rows, prob.cols
@@ -237,13 +234,13 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
         p = np.zeros((n, m, r, m))
         i = np.arange(m)
         p[:, i, :, i] = v.T
-        hp = spmv(prob.hessian, p.reshape(m * n, m * r))
+        hp = _hess_vec(prob, p.reshape(m * n, m * r))
         k = (v @ hp.reshape(n, m * m * r)).reshape(m * r, m * r)
     else:
         p = np.zeros((n, m, n, r))
         j = np.arange(n)
         p[j, :, j, :] = u
-        hp = spmv(prob.hessian, p.reshape(m * n, r * n))
+        hp = _hess_vec(prob, p.reshape(m * n, r * n))
         k = np.matmul(u.T, hp.reshape(n, m, r * n)).reshape(r * n, r * n)
     k.flat[::k.shape[0] + 1] += prob.mu
     return k
@@ -252,25 +249,18 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
 def _exact_block(prob: PenaltyProblem, d):
     """Whether a local-search block of d unknowns is solved exactly.
 
-    Only on lifts of at most ``MERGED_HESSIAN_MAX_SIZE`` entries, where the
-    merged Hessian H is built, and only while ``nnz(H) * d``, the work of
-    ``H @ P``, is at most ``EXACT_BLOCK_MAX_WORK``; the d^3/3 Cholesky grows
-    with it.  The bound sits below the measured crossover, where at most 10
-    CG steps start to cost less: between 101k and 151k on the desk lift,
-    near 190k on j8 k10.  Those CG steps applied H itself, which is cheaper
-    than the separate products CG now makes (6 against 21 us per apply on
-    the desk lift, 27 against 37 us on j20 k24), so the bound errs toward
-    CG.  One sweep from a random start, CG against exact (2 cores, OpenBLAS
-    at 1 thread, best of 7), by the larger block's work: ssr j6 k8 (192
-    entries, nnz 788) r 2 (25k) 376 / 163 us, r 6 (76k) 542 / 371 us, r 8
-    (101k) 661 / 484 us, r 12 (151k) 717 / 1,658 us; j8 k10 (320, nnz
-    1,604) r 3 (96k) 562 / 337 us, r 6 (192k) 596 / 593 us, r 8 (257k)
-    729 / 1,454 us; j12 k16 (768, nnz 5,604) r 1 (179k) 546 / 400 us, r 2
-    (359k) 571 / 646 us; j20 k24 (1,920, nnz 20,004) r 1 (960k) 505 / 968
-    us.
+    True while P, the block's d columns of vec(U V), holds at most
+    ``EXACT_BLOCK_MAX_ENTRIES`` entries (``prob.size * d``).  That one count
+    caps P's memory (192 kB) and the work of ``H @ P`` and of its
+    contraction with V or U^T.  It sits below the measured crossover with at
+    most 10 CG steps: one block solve from a random start on ssr lifts from
+    12 x 16 to 40 x 48 (2 cores, OpenBLAS at 1 thread, best of 15) favoured
+    the exact solve up to 25,600 entries (16 x 20, d = 80: 131 against
+    320 us) and CG from 27,648 (12 x 16, d = 144: 882 against 516 us).  On
+    the desk lift (12 x 16) U is exact through rank 10 (d = 120) and V
+    through rank 7 (d = 112).
     """
-    return (prob.size <= MERGED_HESSIAN_MAX_SIZE
-            and prob.hessian.nnz * d <= EXACT_BLOCK_MAX_WORK)
+    return prob.size * d <= EXACT_BLOCK_MAX_ENTRIES
 
 
 def _cholesky_solve(k, rhs, x0):
@@ -300,9 +290,8 @@ def _block_cg(apply_mat, rhs, x0, max_iter=BLOCK_CG_MAX_ITER):
     return x.reshape(shape)
 
 
-def local_search(prob: PenaltyProblem, u_init, v_init, budget,
-                 rel_floor=1e-4, return_history=False):
-    """Alternating ridge solves on U and V (block minimization of psi).
+def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
+    """Alternating ridge solves on U and V; returns (factors, psi history).
 
     With one factor held fixed psi is a strongly convex quadratic in the
     other.  A small block (``_exact_block``) is minimized exactly through
@@ -313,6 +302,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
     step lowers the block quadratic, so stopping early keeps descent.
     Never returns a point with psi above the initializer beyond rounding;
     stops on the sweep budget or a relative improvement below rel_floor.
+    The history holds psi at the start and after every block solve.
     """
     u = np.array(u_init, dtype=float, copy=True)
     v = np.array(v_init, dtype=float, copy=True)
@@ -320,7 +310,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
     psi_cur = psi_value(prob, factors)
     history = [psi_cur]
     if budget <= 0 or factors.rank == 0:
-        return (factors, history) if return_history else factors
+        return factors, history
     m, n = factors.shape
     rhs_full = prob.adjoint_target  # mat(AC^T b)
     gtol2 = (1e-10 * max(1.0, abs(psi_cur))) ** 2
@@ -355,10 +345,7 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget,
         psi_cur = history[-1]
         if psi_sweep - psi_cur <= rel_floor * max(1e-30, abs(psi_cur)):
             break
-    out = FactorPair(u, v)
-    if return_history:
-        return out, history
-    return out
+    return FactorPair(u, v), history
 
 
 def _augment(shrunk: FactorPair, z_u, z_v, theta):
@@ -413,8 +400,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, history = local_search(prob, cand.U, cand.V,
-                                     budget=config.local_search_max_steps,
-                                     return_history=True)
+                                     budget=config.local_search_max_steps)
         psi_cand = history[-1]
         if config.recompress:
             cand, psi_cand = _recompressed(prob, cand, psi_cand)

@@ -68,12 +68,7 @@ class FactorPair:
 
 @dataclass(frozen=True, eq=False)
 class PenaltyProblem:
-    """Assembled problem data; treat as immutable once constructed.
-
-    ``hessian``, one merged sparse matrix built on first use, serves only the
-    local search's exact block solves on small lifts (``gcg._exact_block``);
-    ``replace(prob, lam=...)`` gives a problem that sums its own.
-    """
+    """Assembled problem data; treat as immutable once constructed."""
 
     rows: int
     cols: int
@@ -97,13 +92,6 @@ class PenaltyProblem:
         out = unvec(spmv_t(self.AC, self.target), self.rows, self.cols)
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def hessian(self) -> SparseMatrix:
-        """``AC^T AC + lam B^T B`` as one SparseMatrix, summed on first use
-        from the Grams cached on AC and B (which every lam shares)."""
-        return SparseMatrix(self.AC.gram.to_scipy()
-                            + self.lam * self.B.gram.to_scipy())
 
 
 def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
@@ -157,10 +145,11 @@ def _grad_vec(prob: PenaltyProblem, x):
 
 
 def _hess_vec(prob: PenaltyProblem, x):
-    """``(AC^T AC + lam B^T B) x`` on vec space, for the local search's CG.
+    """``(AC^T AC + lam B^T B) x`` on vec space, x one vector or columns.
 
-    Products with AC, AC^T and B's Gram; neither ``prob.hessian`` nor AC's
-    Gram is built.
+    Products with AC, AC^T and B's Gram; AC's Gram is never built.  The
+    local search applies it to a vector in each CG step and to the (MN x d)
+    block P of an exact block solve (``gcg._block_normal``).
     """
     out = spmv_t(prob.AC, spmv(prob.AC, x))
     if prob.B.n_rows:

@@ -188,6 +188,9 @@ def test_scs_generate_mask_and_snr():
     for obs in (-0.1, 1.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="obs_fraction"):
             scs_generate(ScsConfig(n1=4, n2=4, r=1, k1=2, k2=2, obs_fraction=obs))
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be"):
+            scs_generate(ScsConfig(n1=4, n2=4, r=r, k1=2, k2=2))
 
 
 def test_scs_problem_wires_observed_entries():

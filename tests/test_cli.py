@@ -110,6 +110,7 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SCS_SMALL + ["--snr", "nan"],
     SCS_SMALL + ["--obs", "0"],
     SCS_SMALL + ["--obs", "inf"],
+    SCS_SMALL + ["--r", "0"],
     SSR_SMALL + ["--mu", "0"],
     SSR_SMALL + ["--mu", "0.1", "--sigma", "nan"],
     SSR_SMALL + ["--mu", "nan"],
@@ -125,7 +126,7 @@ def test_scs_summary_file_matches_the_printed_line(tmp_path, capsys):
     SSR_SMALL + ["--mu", "0.1", "--lam-max", "inf"],
     SSR_SMALL + ["--mu", "0.1", "--lam-max", "nan"],
     SSR_SMALL + ["--mu", "0.1", "--lam-growth", "nan"],
-], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "ssr-mu-0",
+], ids=["snr-0", "snr-0-apg", "snr-nan", "obs-0", "obs-inf", "scs-r-0", "ssr-mu-0",
      "ssr-sigma-nan", "ssr-mu-nan", "ssr-lambda-inf", "lambda-nan-apg",
      "ssr-max-iter-0", "scs-lam-growth-below-1", "max-iter-0-apg",
      "ssr-T-0", "ssr-T-equal-k", "ssr-sigma-negative", "ssr-sigma-inf",

@@ -72,7 +72,7 @@ def test_local_search_descends_psi(rng):
     prob = random_hankel_problem(rng, j=4, k=5, lam=2.0, mu=0.4)
     u = rng.standard_normal((4, 2))
     v = rng.standard_normal((2, 5))
-    out, history = local_search(prob, u, v, budget=6, return_history=True)
+    out, history = local_search(prob, u, v, budget=6)
     assert all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
     assert psi_value(prob, out) <= history[0] + 1e-12
     assert psi_value(prob, out) < history[0]  # random start leaves room to move
@@ -82,10 +82,11 @@ def test_local_search_respects_zero_budget(rng):
     prob = random_hankel_problem(rng, j=3, k=3)
     u = rng.standard_normal((3, 2))
     v = rng.standard_normal((2, 3))
-    out = local_search(prob, u, v, budget=0)
+    out, history = local_search(prob, u, v, budget=0)
     np.testing.assert_array_equal(out.U, u)
     np.testing.assert_array_equal(out.V, v)
-    zero = local_search(prob, np.zeros((3, 0)), np.zeros((0, 3)), budget=5)
+    assert history == [psi_value(prob, out)]
+    zero, _ = local_search(prob, np.zeros((3, 0)), np.zeros((0, 3)), budget=5)
     assert zero.rank == 0
 
 
@@ -94,14 +95,14 @@ def test_local_search_stops_at_the_improvement_floor(rng):
     prob = random_hankel_problem(rng, j=4, k=4, lam=1.5, mu=0.3)
     u = rng.standard_normal((4, 2))
     v = rng.standard_normal((2, 4))
-    out = local_search(prob, u, v, budget=30)
-    again = local_search(prob, out.U, out.V, budget=30)
+    out, _ = local_search(prob, u, v, budget=30)
+    again, _ = local_search(prob, out.U, out.V, budget=30)
     drop = psi_value(prob, out) - psi_value(prob, again)
     assert drop >= -1e-12
     assert drop <= 3e-4 * (1 + abs(psi_value(prob, out)))
     # with the floor disabled it digs to block stationarity instead
-    deep = local_search(prob, u, v, budget=300, rel_floor=1e-15)
-    deeper = local_search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
+    deep, _ = local_search(prob, u, v, budget=300, rel_floor=1e-15)
+    deeper, _ = local_search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
     assert psi_value(prob, deep) - psi_value(prob, deeper) <= 1e-9 * (
         1 + abs(psi_value(prob, deep)))
 
@@ -133,14 +134,14 @@ def test_block_cg_makes_at_most_max_iter_applies(rng, max_iter):
 
 
 def test_cg_block_solves_above_the_size_cutoff(rng, monkeypatch):
-    # A 2 x 1100 Hankel lift (2,200 entries) solves every block by scipy's
-    # cg: U (2 unknowns) lands on its normal-equation solution, a block
-    # costs at most 11 Hessian applies (the first residual and 10 steps),
-    # and cg leaves the start block as it was.
-    prob = random_hankel_problem(rng, j=2, k=1100, lam=1.3, frac=0.6)
-    assert prob.size > gcg.MERGED_HESSIAN_MAX_SIZE
+    # A 2 x 7000 Hankel lift (14,000 entries) solves every block by scipy's
+    # cg, even U with 2 unknowns: it lands on its normal-equation solution,
+    # a block costs at most 11 Hessian applies (the first residual and 10
+    # steps), and cg leaves the start block as it was.
+    prob = random_hankel_problem(rng, j=2, k=7000, lam=1.3, frac=0.6)
+    assert not gcg._exact_block(prob, 2)
     u = rng.standard_normal((2, 1))
-    v = rng.standard_normal((1, 1100))
+    v = rng.standard_normal((1, 7000))
     applies, per_block, solutions = [0], [], []
     hess_vec, cg = gcg._hess_vec, gcg.cg
 
@@ -426,19 +427,17 @@ def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
 
     u_ref = unvec(block_minimizer(np.kron(v.T, np.eye(m))), m, r)
     v_ref = unvec(block_minimizer(np.kron(np.eye(n), u_ref)), r, n)
-    out = local_search(prob, u, v, budget=1)
+    out, _ = local_search(prob, u, v, budget=1)
     for got, want in ((out.U, u_ref), (out.V, v_ref)):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
-    # At rank 8 on the desk lift the U block (d = 96) is solved exactly and
-    # the V block (d = 128) by CG.  The 46 x 45 lift (2,070 entries) never
-    # builds the merged Hessian, so every block takes CG.
+    # On the desk lift (12 x 16) U is solved exactly through rank 10
+    # (d = 120) and V through rank 7 (d = 112); U at rank 11 and V at rank 8
+    # take CG.  The exact solves apply the separate Hessian products, so
+    # AC's Gram is never built.  On the 46 x 45 lift every block takes CG.
     prob = _desk_problem()
-    d_max = gcg.EXACT_BLOCK_MAX_WORK // prob.hessian.nnz
-    assert 96 <= d_max < 128
-    assert gcg._exact_block(prob, d_max) and not gcg._exact_block(prob, d_max + 1)
     paths = []
 
     def spy(name, fn):
@@ -450,15 +449,20 @@ def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
 
     spy("exact", gcg._cholesky_solve)
     spy("cg", gcg.cg)
-    local_search(prob, rng.standard_normal((12, 8)), rng.standard_normal((8, 16)),
-                 budget=2, rel_floor=0.0)
-    assert paths == [("exact", 96), ("cg", 128)] * 2
+    for r, want in ((7, [("exact", 84), ("exact", 112)]),
+                    (8, [("exact", 96), ("cg", 128)]),
+                    (10, [("exact", 120), ("cg", 160)]),
+                    (11, [("cg", 132), ("cg", 176)])):
+        paths.clear()
+        local_search(prob, rng.standard_normal((12, r)),
+                     rng.standard_normal((r, 16)), budget=1)
+        assert paths == want, r
+    assert "gram" not in vars(prob.AC)
     big = random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6)
     paths.clear()
     local_search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)),
                  budget=1)
     assert paths == [("cg", 46), ("cg", 45)]
-    assert not gcg._exact_block(big, 1) and "hessian" not in vars(big)
 
 
 def test_a_block_that_is_not_positive_definite_stays_unmoved(rng):

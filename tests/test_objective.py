@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slrm.apps import _selection_matrix
-from slrm.gcg import MERGED_HESSIAN_MAX_SIZE
 from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
 from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
                             _grad_vec, _hess_vec, assemble, f_value,
@@ -125,7 +124,9 @@ def test_grad_matches_finite_differences(rng):
 
 @pytest.mark.parametrize("lam", [0.0, 1.3, 100.0, "no B rows"])
 def test_grad_and_hess_vec_match_dense(rng, lam):
-    # the Gram-based products against H = AC^T AC + lam B^T B formed densely
+    # the Gram-based products against H = AC^T AC + lam B^T B formed densely;
+    # on an (MN x d) block, as the exact block solves apply it, the Hessian
+    # is the same products column by column
     prob = random_hankel_problem(rng, j=3, k=4, lam=1.3, frac=0.6)
     if lam == "no B rows":
         prob = replace(prob, B=SparseMatrix((0, prob.size)))
@@ -140,31 +141,10 @@ def test_grad_and_hess_vec_match_dense(rng, lam):
                                atol=1e-12 * scale)
     np.testing.assert_allclose(_grad_vec(prob, x), hess @ x - ac.T @ prob.target,
                                rtol=0, atol=1e-12 * scale)
-    assert "hessian" not in vars(prob)
-
-
-@pytest.mark.parametrize("j, k", [(32, 64), (46, 45)])
-def test_hess_vec_on_either_side_of_the_merge_cutoff(rng, j, k):
-    # 32 x 64 is the largest lift with a merged Hessian, 46 x 45 (2,070
-    # entries) the smallest above; on both the apply takes the separate
-    # products and builds neither the merged Hessian nor AC's Gram
-    prob = random_hankel_problem(rng, j=j, k=k, lam=1.3, frac=0.6)
-    assert (prob.size <= MERGED_HESSIAN_MAX_SIZE) == (j * k == 2048)
-    ac, b = prob.AC.to_scipy(), prob.B.to_scipy()
-    x = rng.standard_normal(prob.size)
-    want = ac.T @ (ac @ x) + prob.lam * (b.T @ (b @ x))
-    np.testing.assert_allclose(_hess_vec(prob, x), want, rtol=0,
-                               atol=1e-12 * np.linalg.norm(want))
-    assert "hessian" not in vars(prob) and "gram" not in vars(prob.AC)
-
-
-def test_each_lam_sums_its_own_hessian(rng):
-    prob = random_hankel_problem(rng, j=3, k=4, lam=1.0)
-    stage = replace(prob, lam=10.0)
-    assert stage.hessian is not prob.hessian
-    h1, h10 = prob.hessian.to_dense(), stage.hessian.to_dense()
-    np.testing.assert_allclose(h10 - h1, 9.0 * prob.B.gram.to_dense(), rtol=0,
-                               atol=1e-12 * np.abs(h10).max())
+    block = rng.standard_normal((prob.size, 5))
+    want = np.column_stack([_hess_vec(prob, col) for col in block.T])
+    np.testing.assert_array_equal(_hess_vec(prob, block), want)
+    assert "gram" not in vars(prob.AC)
 
 
 def test_adjoint_target_is_cached_and_read_only(rng):
