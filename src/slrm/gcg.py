@@ -291,7 +291,7 @@ def _block_cg(apply_mat, rhs, x0, max_iter=BLOCK_CG_MAX_ITER):
 
 
 def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
-    """Alternating ridge solves on U and V; returns (factors, psi history).
+    """Alternating ridge solves on U and V; returns (factors, psi).
 
     With one factor held fixed psi is a strongly convex quadratic in the
     other.  A small block (``_exact_block``) is minimized exactly through
@@ -302,15 +302,15 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
     step lowers the block quadratic, so stopping early keeps descent.
     Never returns a point with psi above the initializer beyond rounding;
     stops on the sweep budget or a relative improvement below rel_floor.
-    The history holds psi at the start and after every block solve.
+    psi is evaluated at the start and once per sweep, after the V block;
+    the one returned is that of the returned factors.
     """
     u = np.array(u_init, dtype=float, copy=True)
     v = np.array(v_init, dtype=float, copy=True)
     factors = FactorPair(u, v)
     psi_cur = psi_value(prob, factors)
-    history = [psi_cur]
     if budget <= 0 or factors.rank == 0:
-        return factors, history
+        return factors, psi_cur
     m, n = factors.shape
     rhs_full = prob.adjoint_target  # mat(AC^T b)
     gtol2 = (1e-10 * max(1.0, abs(psi_cur))) ** 2
@@ -341,11 +341,10 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
                 u = block
             else:
                 v = block
-            history.append(psi_value(prob, FactorPair(u, v)))
-        psi_cur = history[-1]
+        psi_cur = psi_value(prob, FactorPair(u, v))
         if psi_sweep - psi_cur <= rel_floor * max(1e-30, abs(psi_cur)):
             break
-    return FactorPair(u, v), history
+    return FactorPair(u, v), psi_cur
 
 
 def _augment(shrunk: FactorPair, z_u, z_v, theta):
@@ -399,9 +398,8 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         sigma_top = pair.sigma
         a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
-        cand, history = local_search(prob, cand.U, cand.V,
-                                     budget=config.local_search_max_steps)
-        psi_cand = history[-1]
+        cand, psi_cand = local_search(prob, cand.U, cand.V,
+                                      budget=config.local_search_max_steps)
         if config.recompress:
             cand, psi_cand = _recompressed(prob, cand, psi_cand)
         held = not psi_cand <= psi_prev + PSI_SLACK

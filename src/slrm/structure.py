@@ -1,16 +1,16 @@
 """Linear matrix structures and their constraint / recovery encodings.
 
 A structure maps a parameter vector y to an M x N matrix Q(y) by writing
-y[k] at every position in the k-th support (disjoint supports, optional
-forced-zero positions).  From the supports we derive a sparse constraint
-matrix B with ``B @ vec(X) == 0`` exactly on structured matrices, and a
-recovery matrix C with ``C @ vec(Q(y)) == y``.  All vectorization is plain
-column-major over the full matrix.
+y[k] at every position of the k-th support (disjoint supports, optional
+forced-zero positions).  A spec is one index map, the supports' positions
+and sizes; from it we write, as CSR, a constraint matrix B with
+``B @ vec(X) == 0`` exactly on structured matrices and a recovery matrix C
+with ``C @ vec(Q(y)) == y``.  Vectorization is column-major throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,32 +27,30 @@ class RecoveryMode(Enum):
 
 @dataclass(frozen=True, eq=False)
 class StructureSpec:
-    """Supports of a linear structure on an M x N matrix.
+    """Index map of a linear structure on an M x N matrix.
 
-    ``supports[k]`` lists the column-major positions carrying parameter k,
-    sorted ascending.  Positions in ``zero_positions`` are forced to zero.
-    Supports and zero positions must be disjoint; each support is non-empty.
-    ``support_positions`` (the supports concatenated in parameter order) and
-    ``support_sizes`` are read-only arrays built with the spec, so it is
-    immutable once built: changing a support array would leave them stale.
+    ``support_positions`` lists the supports' column-major positions in
+    parameter order, ``support_sizes[k]`` of them for parameter k; each
+    support is non-empty and strictly ascending.  Positions in
+    ``zero_positions`` are forced to zero and lie in no support.  The spec
+    keeps read-only int64 copies of the three arrays, so it is immutable.
     """
 
     rows: int
     cols: int
-    supports: tuple
-    zero_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _runs: InitVar[tuple | None] = None  # (positions, sizes) the supports are slices of
+    support_positions: np.ndarray
+    support_sizes: np.ndarray
+    zero_positions: np.ndarray = ()
 
-    def __post_init__(self, _runs):
-        if _runs is None:
-            supports = tuple(np.asarray(s, dtype=np.int64) for s in self.supports)
-            object.__setattr__(self, "supports", supports)
-            _runs = (np.concatenate(supports) if supports else np.empty(0, dtype=np.int64),
-                     np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
-        for name, arr in zip(("support_positions", "support_sizes"), _runs):
+    def __post_init__(self):
+        for name in ("support_positions", "support_sizes", "zero_positions"):
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # a NaN fails the test below
+                arr = given.astype(np.int64)
+            if arr.ndim != 1 or np.any(arr != given):
+                raise ValueError(f"{name} must be a 1-D array of integers")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "zero_positions", np.asarray(self.zero_positions, np.int64))
         self.validate()
 
     def validate(self):
@@ -60,6 +58,9 @@ class StructureSpec:
             raise ValueError("structure needs positive dimensions")
         size = self.rows * self.cols
         pos, sizes = self.support_positions, self.support_sizes
+        if np.any(sizes < 0) or sizes.sum() != pos.size:
+            raise ValueError("support sizes must be non-negative and add up "
+                             "to the number of positions")
         # the first support that is empty or, within itself, not ascending;
         # a drop from one support to the next is legal
         owner = np.repeat(np.arange(sizes.size), sizes)
@@ -80,7 +81,7 @@ class StructureSpec:
 
     @property
     def n_params(self):
-        return len(self.supports)
+        return self.support_sizes.size
 
     @property
     def shape(self):
@@ -101,11 +102,7 @@ def _spec_from_param_grid(param_of_position, rows, cols, n_params):
     counts = np.bincount(flat, minlength=n_params)
     if np.any(counts == 0):
         raise ValueError("every parameter must appear in the grid")
-    # read-only slices of one array: no support is converted or joined again
-    order.flags.writeable = False
-    ends = np.cumsum(counts).tolist()
-    supports = tuple(order[i:j] for i, j in zip([0, *ends], ends))
-    return StructureSpec(rows, cols, supports, _runs=(order, counts))
+    return StructureSpec(rows, cols, order, counts)
 
 
 def hankel_spec(j, k):
@@ -165,19 +162,19 @@ def build_B(spec: StructureSpec) -> SparseMatrix:
     parameter then pair), then one single-entry row per forced-zero
     position.
     """
-    size = spec.rows * spec.cols
     pos = spec.support_positions
     # every neighbour pair in the concatenation except those across two supports
     within = np.ones(max(pos.size - 1, 0), dtype=bool)
     within[np.cumsum(spec.support_sizes)[:-1] - 1] = False
     heads, tails = pos[:-1][within], pos[1:][within]
     n_pairs, n_zeros = heads.size, spec.zero_positions.size
-    rows_idx = np.concatenate([np.repeat(np.arange(n_pairs), 2),
-                               n_pairs + np.arange(n_zeros)])
-    cols_idx = np.concatenate([np.stack([heads, tails], axis=1).ravel(),
-                               spec.zero_positions])
-    vals = np.concatenate([np.tile([1.0, -1.0], n_pairs), np.ones(n_zeros)])
-    return SparseMatrix((vals, (rows_idx, cols_idx)), shape=(n_pairs + n_zeros, size))
+    indices = np.concatenate([np.stack([heads, tails], axis=1).ravel(),
+                              spec.zero_positions])
+    data = np.concatenate([np.tile([1.0, -1.0], n_pairs), np.ones(n_zeros)])
+    indptr = np.concatenate([np.arange(0, 2 * n_pairs, 2),
+                             2 * n_pairs + np.arange(n_zeros + 1)])
+    return SparseMatrix((data, indices, indptr),
+                        shape=(n_pairs + n_zeros, spec.rows * spec.cols))
 
 
 def constraint_gram_norm(spec: StructureSpec) -> float:
@@ -199,19 +196,18 @@ def build_C(spec: StructureSpec, mode: RecoveryMode = RecoveryMode.PROJECTION) -
     Q after C orthogonally projects onto the structured image; sparse mode
     reads the first occurrence only.
     """
-    size = spec.rows * spec.cols
+    sizes = spec.support_sizes
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
     if mode is RecoveryMode.PROJECTION:
-        cols_idx = spec.support_positions
-        counts = spec.support_sizes
-        rows_idx = np.repeat(np.arange(spec.n_params, dtype=np.int64), counts)
-        vals = np.repeat(1.0 / counts, counts)
+        data = np.repeat(1.0 / sizes, sizes)
+        indices = spec.support_positions
     elif mode is RecoveryMode.SPARSE:
-        cols_idx = np.array([s[0] for s in spec.supports], dtype=np.int64)
-        rows_idx = np.arange(spec.n_params, dtype=np.int64)
-        vals = np.ones(spec.n_params)
+        data = np.ones(sizes.size)
+        indices = spec.support_positions[indptr[:-1]]
+        indptr = np.arange(sizes.size + 1)
     else:
         raise ValueError(f"unknown recovery mode: {mode!r}")
-    return SparseMatrix((vals, (rows_idx, cols_idx)), shape=(spec.n_params, size))
+    return SparseMatrix((data, indices, indptr), shape=(sizes.size, spec.rows * spec.cols))
 
 
 def apply_structure(spec: StructureSpec, y) -> np.ndarray:

@@ -45,8 +45,9 @@ def assorted_specs():
         "hankel_one_row": hankel_spec(1, 4),            # singletons only: B is empty
         "block_hankel": block_hankel_spec(2, 3, 3, 2),
         "two_fold": two_fold_hankel_spec(5, 6, 3, 4),
-        "zeros_and_singletons": StructureSpec(2, 2, ([0], [3]), zero_positions=[1, 2]),
+        "zeros_and_singletons": StructureSpec(2, 2, [0, 3], [1, 1], zero_positions=[1, 2]),
         # first anti-diagonal forced to zero, last one left free of any support
-        "zeros_and_gaps": StructureSpec(3, 4, h.supports[1:-1],
-                                        zero_positions=h.supports[0]),
+        "zeros_and_gaps": StructureSpec(3, 4, h.support_positions[1:-1],
+                                        h.support_sizes[1:-1],
+                                        zero_positions=h.support_positions[:1]),
     }

@@ -68,24 +68,47 @@ def test_compress_preserves_product(rng):
     assert zero.rank == 0 and zero.shape == (3, 5)
 
 
-def test_local_search_descends_psi(rng):
-    prob = random_hankel_problem(rng, j=4, k=5, lam=2.0, mu=0.4)
-    u = rng.standard_normal((4, 2))
-    v = rng.standard_normal((2, 5))
-    out, history = local_search(prob, u, v, budget=6)
-    assert all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
-    assert psi_value(prob, out) <= history[0] + 1e-12
-    assert psi_value(prob, out) < history[0]  # random start leaves room to move
+def test_local_search_descends_psi(rng, monkeypatch):
+    # psi after every block the exact solve (4 x 5 lift) or CG (46 x 45)
+    # returns, spied on, never rises; the search returns its last value
+    blocks = []
+
+    def spy(fn):
+        def spied(*args, **kwargs):
+            blocks.append(fn(*args, **kwargs))
+            return blocks[-1]
+        monkeypatch.setattr(gcg, fn.__name__, spied)
+
+    spy(gcg._cholesky_solve)
+    spy(gcg._block_cg)
+    for j, k, r in ((4, 5, 2), (46, 45, 1)):
+        prob = random_hankel_problem(rng, j=j, k=k, lam=2.0, mu=0.4)
+        u = rng.standard_normal((j, r))
+        v = rng.standard_normal((r, k))
+        blocks.clear()
+        out, psi = local_search(prob, u, v, budget=6)
+        history = [psi_value(prob, FactorPair(u, v))]
+        for block in blocks:
+            if block.shape == u.shape:
+                u = block
+            else:
+                v = block
+            history.append(psi_value(prob, FactorPair(u, v)))
+        assert len(blocks) >= 4, (j, k)
+        assert all(b <= a + 1e-10 for a, b in zip(history, history[1:])), (j, k)
+        np.testing.assert_array_equal(out.product(), u @ v)
+        assert psi == history[-1] == psi_value(prob, out)
+        assert psi < history[0]  # random start leaves room to move
 
 
 def test_local_search_respects_zero_budget(rng):
     prob = random_hankel_problem(rng, j=3, k=3)
     u = rng.standard_normal((3, 2))
     v = rng.standard_normal((2, 3))
-    out, history = local_search(prob, u, v, budget=0)
+    out, psi = local_search(prob, u, v, budget=0)
     np.testing.assert_array_equal(out.U, u)
     np.testing.assert_array_equal(out.V, v)
-    assert history == [psi_value(prob, out)]
+    assert psi == psi_value(prob, out)
     zero, _ = local_search(prob, np.zeros((3, 0)), np.zeros((0, 3)), budget=5)
     assert zero.rank == 0
 

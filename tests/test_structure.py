@@ -1,4 +1,4 @@
-"""Structure encodings: supports, constraint matrix B, recovery matrix C."""
+"""Structure encodings: the index map, constraint matrix B, recovery matrix C."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,11 @@ from slrm.structure import (RecoveryMode, StructureSpec, apply_structure,
                             project_to_image, two_fold_hankel_spec)
 
 from conftest import assorted_specs
+
+
+def _supports(spec):
+    """The supports, one array each, split off the spec's index map."""
+    return np.split(spec.support_positions, np.cumsum(spec.support_sizes)[:-1])
 
 
 def test_hankel_entries():
@@ -59,30 +64,51 @@ def test_two_fold_window_bounds():
 
 
 def test_spec_validation_rejects_bad_supports():
-    cases = [  # (supports, zero positions, message) on a 2 x 2 matrix
-        (([0], [], [3]), [], "support 1 is empty"),
-        (([0, 1], [1, 2]), [], "overlap"),
-        (([0], [4]), [], "out of range"),
-        (([-1], [0]), [], "out of range"),
-        (([1, 0],), [], "support 0 is not sorted strictly ascending"),
-        (([0], [1, 1]), [], "support 1 is not sorted strictly ascending"),  # repeat
-        (([0],), [0], "overlap"),              # zero position clashes with a support
-        (([0], [2, 1], []), [], "support 1 is not sorted"),   # first bad support wins
-        (([0], [], [2, 1]), [], "support 1 is empty"),
-        (([1, 0], [7]), [], "support 0 is not sorted"),       # order before range
-        (([0, 9], [0]), [], "out of range"),                  # range before overlap
+    cases = [  # (positions, sizes, zero positions, message) on a 2 x 2 matrix
+        ([0, 3], [1, 0, 1], [], "support 1 is empty"),
+        ([0, 1, 1, 2], [2, 2], [], "overlap"),
+        ([0, 4], [1, 1], [], "out of range"),
+        ([-1, 0], [1, 1], [], "out of range"),
+        ([1, 0], [2], [], "support 0 is not sorted strictly ascending"),
+        ([0, 1, 1], [1, 2], [], "support 1 is not sorted strictly ascending"),  # repeat
+        ([0], [1], [0], "overlap"),            # zero position clashes with a support
+        ([0, 2, 1], [1, 2, 0], [], "support 1 is not sorted"),  # first bad support wins
+        ([0, 2, 1], [1, 0, 2], [], "support 1 is empty"),
+        ([1, 0, 7], [2, 1], [], "support 0 is not sorted"),     # order before range
+        ([0, 9, 0], [2, 1], [], "out of range"),                # range before overlap
+        ([0, 1, 2], [1, 1], [], "add up to the number of positions"),
+        ([0, 1], [3, -1], [], "non-negative"),
+        # the int64 cast would read these as positions [0, 1, 3] and zero [2]
+        ([0.0, 1.7, 3.2], [2, 1], [2.9], "support_positions must be .* integers"),
+        ([0, 1, 3], [1.5, 1.5], [], "support_sizes must be .* integers"),
+        ([0, 3], [1, 1], [2.5], "zero_positions must be .* integers"),
+        ([[0, 3]], [2], [], "support_positions must be a 1-D array"),
     ]
-    for supports, zeros, message in cases:
+    for positions, sizes, zeros, message in cases:
         with pytest.raises(ValueError, match=message):
-            StructureSpec(2, 2, supports, zero_positions=np.array(zeros, dtype=np.int64))
+            StructureSpec(2, 2, positions, sizes, zero_positions=zeros)
     with pytest.raises(ValueError, match="positive dimensions"):
-        StructureSpec(0, 2, ([0],))
+        StructureSpec(0, 2, [0], [1])
+    # integral floats are integers, and empty lists are empty arrays
+    spec = StructureSpec(2, 2, [0.0, 3.0], [1.0, 1.0], zero_positions=[2.0])
+    for got, want in ((spec.support_positions, [0, 3]), (spec.support_sizes, [1, 1]),
+                      (spec.zero_positions, [2])):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    empty = StructureSpec(2, 2, [], [], zero_positions=[])
+    assert empty.n_params == 0 and build_B(empty).shape == (0, 4)
 
 
 def test_supports_may_drop_from_one_to_the_next():
-    spec = StructureSpec(2, 2, ([2, 3], [0, 1]))
+    spec = StructureSpec(2, 2, [2, 3, 0, 1], [2, 2])
     np.testing.assert_array_equal(spec.support_positions, [2, 3, 0, 1])
-    spec = StructureSpec(2, 3, ([5], [1, 3], [0, 4]), zero_positions=[2])
+    np.testing.assert_array_equal(build_C(spec, RecoveryMode.SPARSE).to_dense(),
+                                  [[0.0, 0.0, 1.0, 0.0],
+                                   [1.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(build_C(spec).to_dense(),
+                                  [[0.0, 0.0, 0.5, 0.5],
+                                   [0.5, 0.5, 0.0, 0.0]])
+    spec = StructureSpec(2, 3, [5, 1, 3, 0, 4], [1, 2, 2], zero_positions=[2])
     np.testing.assert_array_equal(build_B(spec).to_dense() @ np.arange(6.0),
                                   [-2.0, -4.0, 2.0])
 
@@ -146,7 +172,7 @@ def _build_B_loop(spec):
     """B from one support at a time: the oracle for the masked build."""
     rows, cols, vals = [], [], []
     r = 0
-    for s in spec.supports:
+    for s in _supports(spec):
         for a, b in zip(s[:-1], s[1:]):
             rows += [r, r]
             cols += [a, b]
@@ -160,23 +186,51 @@ def _build_B_loop(spec):
     return SparseMatrix((vals, (rows, cols)), shape=(r, spec.rows * spec.cols))
 
 
-def test_B_csr_arrays_match_the_loop():
+def _build_C_loop(spec, mode):
+    """C from one support at a time: the oracle for the CSR build."""
+    rows, cols, vals = [], [], []
+    for k, s in enumerate(_supports(spec)):
+        picked = s if mode is RecoveryMode.PROJECTION else s[:1]
+        rows += [k] * picked.size
+        cols += list(picked)
+        vals += [1.0 / picked.size] * picked.size
+    return SparseMatrix((vals, (rows, cols)), shape=(spec.n_params, spec.rows * spec.cols))
+
+
+def _oracle_specs():
     rng = np.random.default_rng(8)
-    specs = list(assorted_specs().items())
-    specs += [(f"random_{i}", _random_spec(rng)) for i in range(20)]
-    for name, spec in specs:
-        got, want = build_B(spec).to_scipy(), _build_B_loop(spec).to_scipy()
-        assert got.shape == want.shape, name
-        for attr in ("data", "indices", "indptr"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype, (name, attr)
-            np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
+    specs = list(assorted_specs().items()) + [
+        ("ssr_desk", block_hankel_spec(2, 2, 6, 8)),
+        ("scs_31", two_fold_hankel_spec(31, 31, 6, 6)),
+        ("drops", StructureSpec(2, 3, [5, 1, 3, 0, 4], [1, 2, 2], zero_positions=[2])),
+    ]
+    return specs + [(f"random_{i}", _random_spec(rng)) for i in range(20)]
+
+
+def _assert_same_csr(got, want, name):
+    got, want = got.to_scipy(), want.to_scipy()
+    assert got.shape == want.shape, name
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, (name, attr)
+        np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
+
+
+def test_B_csr_arrays_match_the_loop():
+    for name, spec in _oracle_specs():
+        _assert_same_csr(build_B(spec), _build_B_loop(spec), name)
+
+
+def test_C_csr_arrays_match_the_loop():
+    for name, spec in _oracle_specs():
+        for mode in RecoveryMode:
+            _assert_same_csr(build_C(spec, mode), _build_C_loop(spec, mode), (name, mode))
 
 
 def test_B_row_count_and_values():
     spec = block_hankel_spec(2, 2, 3, 3)
     b = build_B(spec)
-    expected_rows = sum(s.size - 1 for s in spec.supports)
+    expected_rows = sum(s.size - 1 for s in _supports(spec))
     assert b.shape == (expected_rows, spec.rows * spec.cols)
     dense = b.to_dense()
     assert np.all(np.sum(dense != 0, axis=1) == 2)
@@ -185,7 +239,7 @@ def test_B_row_count_and_values():
 
 def test_zero_positions_are_enforced():
     # free corner parameters, rest forced to zero
-    spec = StructureSpec(2, 2, ([0], [3]), zero_positions=[1, 2])
+    spec = StructureSpec(2, 2, [0, 3], [1, 1], zero_positions=[1, 2])
     y = np.array([2.0, -1.0])
     q = apply_structure(spec, y)
     assert q[1, 0] == 0.0 and q[0, 1] == 0.0
@@ -221,7 +275,7 @@ def test_projection_matches_least_squares(rng):
     """Q(C_proj vec(X)) is the closest structured matrix to X."""
     for spec in (hankel_spec(3, 4), two_fold_hankel_spec(4, 4, 2, 3)):
         basis = np.zeros((spec.rows * spec.cols, spec.n_params))
-        for p, s in enumerate(spec.supports):
+        for p, s in enumerate(_supports(spec)):
             basis[s, p] = 1.0
         for _ in range(5):
             x = rng.standard_normal((spec.rows, spec.cols))
@@ -239,56 +293,28 @@ def test_projection_idempotent(rng):
 
 def test_cached_supports_are_read_only_and_match_the_loop():
     # parameter 0 on the diagonal, 1 and 2 above it, forced zeros below
-    spec = StructureSpec(3, 3, ([0, 4, 8], [3, 7], [6]), zero_positions=[1, 2, 5])
+    given = [np.array([0, 4, 8, 3, 7, 6]), np.array([3, 2, 1]), np.array([1, 2, 5])]
+    spec = StructureSpec(3, 3, *given[:2], zero_positions=given[2])
     pos, sizes = spec.support_positions, spec.support_sizes
     assert spec.support_positions is pos and spec.support_sizes is sizes
     np.testing.assert_array_equal(pos, [0, 4, 8, 3, 7, 6])
     np.testing.assert_array_equal(sizes, [3, 2, 1])
-    for arr in (pos, sizes):
+    for arr in (pos, sizes, spec.zero_positions):
         with pytest.raises(ValueError):
             arr[0] = 1
+    for arr in given:               # the spec froze copies, not the caller's arrays
+        assert arr.flags.writeable
+    given[0][0] = 1
+    assert pos[0] == 0
     y = np.array([2.0, -1.0, 0.5])
     want = np.zeros(9)
-    for k, s in enumerate(spec.supports):
+    for k, s in enumerate(_supports(spec)):
         want[s] = y[k]
     np.testing.assert_array_equal(vec(apply_structure(spec, y)), want)
     x = np.arange(9.0).reshape(3, 3) ** 2
     np.testing.assert_array_equal(         # C weights each position by 1/size
         build_C(spec).to_scipy() @ vec(x),
-        [np.add.reduce(vec(x)[s] * (1.0 / s.size)) for s in spec.supports])
-
-
-def test_builder_specs_match_the_general_constructor():
-    # the builders cut their supports from one array and keep it as the
-    # cached concatenation; rebuilt support by support, the same spec
-    specs = list(assorted_specs().items()) + [
-        ("ssr_desk", block_hankel_spec(2, 2, 6, 8)),
-        ("scs_31", two_fold_hankel_spec(31, 31, 6, 6)),
-        ("scs_101", two_fold_hankel_spec(101, 101, 8, 8)),
-    ]
-    for name, spec in specs:
-        plain = StructureSpec(spec.rows, spec.cols,
-                              tuple(np.array(s) for s in spec.supports),
-                              zero_positions=np.array(spec.zero_positions))
-        assert len(spec.supports) == len(plain.supports), name
-        for a, b in zip(spec.supports, plain.supports):
-            assert a.dtype == b.dtype == np.int64, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
-        for attr in ("support_positions", "support_sizes"):
-            got, want = getattr(spec, attr), getattr(plain, attr)
-            assert got.dtype == want.dtype and not got.flags.writeable, (name, attr)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name} {attr}")
-        if not name.startswith("zeros_"):               # built by a builder
-            with pytest.raises(ValueError):
-                spec.supports[0][0] = 0                 # read-only slices
-        for build in (build_B, build_C,
-                      lambda s: build_C(s, RecoveryMode.SPARSE)):
-            got, want = build(spec).to_scipy(), build(plain).to_scipy()
-            assert got.shape == want.shape, name
-            for attr in ("data", "indices", "indptr"):
-                a, b = getattr(got, attr), getattr(want, attr)
-                assert a.dtype == b.dtype, (name, attr)
-                np.testing.assert_array_equal(a, b, err_msg=f"{name} {attr}")
+        [np.add.reduce(vec(x)[s] * (1.0 / s.size)) for s in _supports(spec)])
 
 
 @pytest.mark.parametrize("spec", [
@@ -298,16 +324,16 @@ def test_builder_specs_match_the_general_constructor():
 ], ids=["hankel", "hankel_65536_params", "hankel_65537_params", "block_hankel",
         "ssr_desk", "two_fold", "scs_31"])
 def test_supports_match_an_int64_stable_argsort(spec):
-    # the builders may sort narrower keys; the supports must be the int64
-    # stable argsort of the parameter grid, cut at the parameter counts
+    # the builders may sort narrower keys; the index map must be the int64
+    # stable argsort of the parameter grid and the parameter counts, frozen
     grid = apply_structure(spec, np.arange(spec.n_params, dtype=float))
     flat = vec(grid).astype(np.int64)
     order = np.argsort(flat, kind="stable")
     counts = np.bincount(flat, minlength=spec.n_params)
-    np.testing.assert_array_equal(list(map(len, spec.supports)), counts)
-    joined = np.concatenate(spec.supports)
-    assert joined.dtype == np.int64
-    np.testing.assert_array_equal(joined, order)
+    for got, want in ((spec.support_positions, order), (spec.support_sizes, counts),
+                      (spec.zero_positions, [])):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sparse_mode_reads_first_occurrence():
