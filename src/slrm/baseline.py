@@ -11,15 +11,13 @@ long iteration budget it doubles as the reference optimum for tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gcg import (SolverConfig, SolveTrace, TraceRecord, _continuation,
-                  structured_rank_of)
-from .linalg import short_side_svd, spmv, unvec, vec
-from .objective import PenaltyProblem, _grad_vec, smooth_terms
+from .gcg import SolverConfig, SolveTrace, _continuation, structured_rank
+from .linalg import short_side_svd, unvec, vec
+from .objective import PenaltyProblem, _grad_vec
 from .structure import constraint_gram_norm
 
 
@@ -53,7 +51,9 @@ def lipschitz_estimate(prob: PenaltyProblem):
 
 
 def svt(x, tau):
-    """Proximal map of tau * nuclear norm: soft-threshold the singular values."""
+    """Proximal map of tau * |X|_* (tau >= 0): soft-threshold the singular values."""
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be non-negative, got {tau}")
     return _svt_with_values(x, tau)[0]
 
 
@@ -71,17 +71,17 @@ def _svt_with_values(x, tau):
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     """FISTA on f + mu * nuclear norm; returns (dense X, trace).
 
-    The trace shares the conditional-gradient schema; here psi equals phi,
-    theta is 0, sigma_top is the iterate's largest singular value, and
-    factor_rank counts the singular values surviving the threshold.  The
-    structured rank of Q(C x) is a read-out, not part of the iteration: it
-    is taken once, for the returned iterate, and stored on the final row;
-    earlier rows read -1 (not read).
+    Rows go through the conditional-gradient ``SolveTrace.append``; here psi
+    equals phi, theta is 0, sigma_top is the iterate's largest singular
+    value, and factor_rank counts the singular values surviving the
+    threshold.  The structured rank of Q(C x) (``structured_rank``) is a
+    read-out, not part of the iteration: it is taken once, for the returned
+    iterate, and stored on the final row; earlier rows read -1 (not read).
     """
     if config is None:
         config = ApgConfig()
     config.validate()
-    t0 = time.perf_counter()
+    trace = SolveTrace()
     lip = lipschitz_estimate(prob)
     if lip <= 0.0:
         lip = 1.0  # no curvature: any step works, prox does everything
@@ -95,43 +95,29 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     y = x_prev.copy()
     t_mom = 1.0
     phi_prev = None
-    trace = SolveTrace()
 
     for k in range(1, config.max_iter + 1):
         z = y - step * unvec(_grad_vec(prob, vec(y)), prob.rows, prob.cols)
         try:
             x_new, s_vals = _svt_with_values(z, tau)
         except ValueError as exc:  # the prox rejects a non-finite gradient step
-            raise trace.diverged(f"non-finite gradient step at iteration {k}", t0) from exc
+            raise trace.diverged(f"non-finite gradient step at iteration {k}") from exc
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         step_x = x_new - x_prev
         y = x_new + ((t_mom - 1.0) / t_new) * step_x
 
-        f_smooth, sqloss, _ = smooth_terms(prob, vec(x_new))
-        phi = f_smooth + prob.mu * float(s_vals.sum())
-        if not np.isfinite(phi):
-            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
+        phi = trace.append(prob, vec(x_new), float(s_vals.sum()), theta=0.0,
+                           sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
+                           rank=-1,  # not read; the final row's is set after the loop
+                           factor_rank=int(np.sum(s_vals > 0.0)))
         dx = float(np.linalg.norm(step_x))
-        trace.records.append(TraceRecord(
-            iteration=k,
-            time_s=time.perf_counter() - t0,
-            phi=phi,
-            f_smooth=f_smooth,
-            square_loss=sqloss,
-            psi=phi,
-            theta=0.0,
-            sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
-            rank=-1,  # not read; the final row's is set after the loop
-            factor_rank=int(np.sum(s_vals > 0.0)),
-        ))
         reason = config.stop_reason(dx, phi, phi_prev)  # no tol_obj at k = 1
         x_prev, t_mom, phi_prev = x_new, t_new, phi
-        if reason:
-            trace.converged_reason = reason
+        if trace.stop(reason):
             break
 
-    trace.records[-1].rank = structured_rank_of(prob.spec, spmv(prob.C, vec(x_prev)))
-    trace.wall_time_s = time.perf_counter() - t0
+    trace.records[-1].rank = structured_rank(prob, vec(x_prev))
+    trace.finish()
     return x_prev, trace
 
 

@@ -90,7 +90,7 @@ def _config_argv(parser, argv):
         return argv
     tokens = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -99,7 +99,7 @@ def _config_argv(parser, argv):
                 if not eq or not key.strip():
                     parser.error(f"{path}:{ln}: expected key=value")
                 tokens.append(f"--{key.strip()}={value.strip()}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     # the command is the first token of rest that is not a flag
     at = next((i for i, tok in enumerate(rest) if not tok.startswith("-")), -1) + 1
@@ -131,7 +131,6 @@ def _usage_error(message):
 
 
 def _write_run_outputs(out_dir, trace: SolveTrace, args, extra=None):
-    os.makedirs(out_dir, exist_ok=True)
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     summary = trace.summary(args.solver, args.seed)
     summary.update(extra or {})
@@ -154,7 +153,10 @@ def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
     except ValueError as exc:  # bad solver or experiment parameters
         return _usage_error(exc)
     out_dir = args.out or os.path.join("runs", args.command)
-    os.makedirs(out_dir, exist_ok=True)
+    try:  # after the checks above, so a bad parameter creates nothing
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        return _usage_error(f"cannot create output directory: {exc}")
     save(os.path.join(out_dir, data_file), data)
     try:
         x, trace = _run_solver(prob, config)

@@ -11,6 +11,10 @@ other block by a few steps of scipy's conjugate gradient.  Both apply the
 Hessian as the same sparse products with AC and B.  A thin-SVD re-balance
 keeps the surrogate on the nuclear norm.  No move raises the surrogate
 objective psi beyond rounding.
+
+Both this solver and the proximal baseline record their iterates through
+``SolveTrace.append`` and read the structured rank through
+``structured_rank``.
 """
 
 from __future__ import annotations
@@ -124,14 +128,47 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
+    """Rows, stop reason and wall time of one solve, timed from t0 (creation).
+
+    Both solvers write every row through ``append``, so they share phi, its
+    finiteness rule and the row numbering.
+    """
+
     records: list = field(default_factory=list)
     converged_reason: str = "max_iter"
     wall_time_s: float = 0.0
+    t0: float = field(default_factory=time.perf_counter)
 
-    def diverged(self, message, t0):
-        """Mark the run diverged, stamp the time since t0; the error to raise."""
+    def append(self, prob: PenaltyProblem, x, nuclear, **row):
+        """Record the iterate with vec(X) = x and |X|_* = nuclear; returns phi.
+
+        phi = f(x) + mu * nuclear; ``row`` holds the other columns, psi
+        defaults to phi.  A non-finite phi adds no row and raises ``diverged``.
+        """
+        f_smooth, sqloss, _ = smooth_terms(prob, x)
+        phi = f_smooth + prob.mu * nuclear
+        k = len(self.records) + 1
+        if not np.isfinite(phi):
+            raise self.diverged(f"non-finite objective at iteration {k}")
+        row.setdefault("psi", phi)
+        self.records.append(TraceRecord(k, time.perf_counter() - self.t0, phi,
+                                        f_smooth, sqloss, **row))
+        return phi
+
+    def stop(self, reason):
+        """Record a non-empty stop reason; returns whether there was one."""
+        if reason:
+            self.converged_reason = reason
+        return bool(reason)
+
+    def finish(self):
+        """Stamp the wall time since t0."""
+        self.wall_time_s = time.perf_counter() - self.t0
+
+    def diverged(self, message):
+        """Mark the run diverged and stamp its wall time; the error to raise."""
         self.converged_reason = "diverged"
-        self.wall_time_s = time.perf_counter() - t0
+        self.finish()
         return DivergedError(message, self)
 
     def column(self, name):
@@ -182,14 +219,9 @@ def recover_y(prob: PenaltyProblem, factors: FactorPair):
     return spmv(prob.C, vec(factors.product()))
 
 
-def structured_rank(prob: PenaltyProblem, factors: FactorPair, threshold=1e-3):
-    """Rank of the structured matrix Q(C x) at the given threshold."""
-    return structured_rank_of(prob.spec, recover_y(prob, factors), threshold)
-
-
-def structured_rank_of(spec, y, threshold=1e-3):
-    """Rank of the structured matrix Q(y), from its short-side singular values."""
-    return rank_estimate(singular_values(apply_structure(spec, y)), threshold)
+def structured_rank(prob: PenaltyProblem, x):
+    """Rank of Q(C x), x a vectorized iterate: its singular values above 1e-3."""
+    return rank_estimate(singular_values(apply_structure(prob.spec, spmv(prob.C, x))))
 
 
 def compress(factors: FactorPair, tol=1e-10):
@@ -380,14 +412,13 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     if config is None:
         config = GcgConfig()
     config.validate()
-    t0 = time.perf_counter()
+    trace = SolveTrace()
     factors = init if init is not None else FactorPair.ones(prob.rows, prob.cols)
     if factors.shape != (prob.rows, prob.cols):
         raise ValueError("initializer shape does not match the problem")
-    trace = SolveTrace()
     psi_prev = psi_value(prob, factors)
     if not np.isfinite(psi_prev):  # checked before phi: its SVD needs finite factors
-        raise trace.diverged("non-finite objective at the initial point", t0)
+        raise trace.diverged("non-finite objective at the initial point")
     if config.recompress:
         factors, psi_prev = _recompressed(prob, factors, psi_prev)
     phi_prev = phi_value(prob, factors)
@@ -395,7 +426,6 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors)
         pair = top_singular_pair(-g)
-        sigma_top = pair.sigma
         a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, psi_cand = local_search(prob, cand.U, cand.V,
@@ -407,38 +437,24 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             # no move raises psi beyond rounding, so only rounding gets here
             cand, psi_cand, theta = factors, psi_prev, 0.0
         if not np.isfinite(psi_cand):
-            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
+            raise trace.diverged(f"non-finite objective at iteration {k}")
 
         x = vec(cand.product())
-        f_smooth, sqloss, _ = smooth_terms(prob, x)
-        phi = f_smooth + prob.mu * factor_nuclear_norm(cand)
-        if not np.isfinite(phi):
-            raise trace.diverged(f"non-finite objective at iteration {k}", t0)
         if config.track_structured_rank:
-            rank = structured_rank(prob, cand)
+            rank = structured_rank(prob, x)
         else:
             rank = rank_estimate(factor_svd(cand)[1])
+        phi = trace.append(prob, x, factor_nuclear_norm(cand), psi=psi_cand,
+                           theta=theta, sigma_top=pair.sigma, rank=rank,
+                           factor_rank=cand.rank)
         dx = _frob_dist(cand, factors)
-        trace.records.append(TraceRecord(
-            iteration=k,
-            time_s=time.perf_counter() - t0,
-            phi=phi,
-            f_smooth=f_smooth,
-            square_loss=sqloss,
-            psi=psi_cand,
-            theta=theta,
-            sigma_top=sigma_top,
-            rank=rank,
-            factor_rank=cand.rank,
-        ))
         # a held step is not convergence, only zero motion
         reason = "" if held else config.stop_reason(dx, phi, phi_prev)
         factors, psi_prev, phi_prev = cand, psi_cand, phi
-        if reason:
-            trace.converged_reason = reason
+        if trace.stop(reason):
             break
 
-    trace.wall_time_s = time.perf_counter() - t0
+    trace.finish()
     return factors, trace
 
 

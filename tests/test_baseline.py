@@ -8,8 +8,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from slrm import apps, baseline
 from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
-from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank_of
-from slrm.linalg import SparseMatrix, spmv, vec
+from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank
+from slrm.linalg import SparseMatrix, vec
 from slrm.objective import _hess_vec, assemble, smooth_terms
 from slrm.structure import hankel_spec
 
@@ -60,6 +60,13 @@ def test_svt_rejects_nonfinite(bad, shape):
     x[1, 2] = bad
     with pytest.raises(ValueError):
         svt(x, 0.1)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan])
+def test_svt_rejects_a_negative_or_nan_tau(tau):
+    # a negative tau would grow the singular values: svt(I, -1) = 2 I
+    with pytest.raises(ValueError):
+        svt(np.eye(3), tau)
 
 
 def test_svt_is_the_nuclear_prox(rng):
@@ -218,6 +225,17 @@ def test_trace_schema_matches_factored_solver(rng):
     assert rec.sigma_top >= 0.0
 
 
+def test_row_times_rise_to_at_most_the_wall_time(rng):
+    prob = random_hankel_problem(rng, j=4, k=5, mu=0.3)
+    gcg_cfg = GcgConfig(max_iter=15, tol_x=1e-12, tol_obj=1e-12)
+    for run in (lambda: solve(prob, gcg_cfg),
+                lambda: solve_apg(prob, ApgConfig.oracle(15))):
+        _, trace = run()
+        t = trace.column("time_s")
+        assert t.size > 1 and np.all(np.diff(t) >= 0.0)
+        assert 0.0 < t[0] and t[-1] <= trace.wall_time_s
+
+
 def test_apg_reads_the_structured_rank_once(monkeypatch):
     # the rank is a read-out of the returned iterate, not part of an
     # iteration: one call per solve_apg, so one per continuation stage
@@ -225,15 +243,15 @@ def test_apg_reads_the_structured_rank_once(monkeypatch):
     prob = apps.ssr_problem(cfg, apps.ssr_generate(cfg), mu=0.1, lam=1.0)
     calls = []
 
-    def spy(spec, y, *args):
-        calls.append(y)
-        return structured_rank_of(spec, y, *args)
+    def spy(p, x):
+        calls.append(x)
+        return structured_rank(p, x)
 
-    monkeypatch.setattr(baseline, "structured_rank_of", spy)
+    monkeypatch.setattr(baseline, "structured_rank", spy)
     x, trace = solve_apg_homotopy(prob, ApgConfig.oracle(40))
     assert len(calls) == 3                     # lam = 1, 10, 100
-    np.testing.assert_array_equal(calls[-1], spmv(prob.C, vec(x)))
-    assert trace.records[-1].rank == structured_rank_of(prob.spec, spmv(prob.C, vec(x)))
+    np.testing.assert_array_equal(calls[-1], vec(x))
+    assert trace.records[-1].rank == structured_rank(prob, vec(x))
     assert trace.records[-1].rank > 0
     header, *rows = trace.to_csv().splitlines()
     col = header.split(",").index("rank")

@@ -174,7 +174,7 @@ def test_config_file_may_come_before_the_command(tmp_path, capsys, form):
     assert runs["before"][0]["seed"] == 9 and runs["before"][0]["iters"] <= 5
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense=1\n")
     with pytest.raises(SystemExit) as exc:
@@ -189,6 +189,25 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["ssr", "--n", "2", "--r", "1", "--j", "3", "--k", "3",
                   "--mu", "0.1", "--config", str(tmp_path / "missing.cfg")])
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"mu=0.1\n\xff\xfe=3\n")   # not UTF-8
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ssr", "--n", "2", "--r", "2", "--j", "6", "--k", "8",
+                  "--config", str(latin)])
+    assert exc.value.code == 2
+    assert "error: cannot read config file" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    code = cli.main(SSR_SMALL + ["--mu", "0.1", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert out.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("line", ["max-iter=ten", "solver=foo"])

@@ -11,7 +11,8 @@ from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
 from slrm.linalg import SparseMatrix, spmv_t, top_singular_pair, unvec, vec
-from slrm.objective import FactorPair, phi_value, psi_value, step_model
+from slrm.objective import (FactorPair, phi_value, psi_value, smooth_terms,
+                            step_model)
 
 from conftest import random_hankel_problem
 
@@ -51,8 +52,8 @@ def test_recover_y_matches_sparse_product(rng):
 def test_structured_rank_on_an_exact_structure(rng):
     prob = random_hankel_problem(rng, j=4, k=4, mu=0.1)
     fac = FactorPair(np.ones((4, 1)), np.ones((1, 4)))  # constant Hankel, rank 1
-    assert structured_rank(prob, fac) == 1
-    assert structured_rank(prob, FactorPair.zeros(4, 4)) == 0
+    assert structured_rank(prob, vec(fac.product())) == 1
+    assert structured_rank(prob, np.zeros(16)) == 0
 
 
 def test_compress_preserves_product(rng):
@@ -388,6 +389,28 @@ def test_trace_csv_roundtrip():
                             "final_rank", "wall_time_s", "converged_reason",
                             "seed"}
     assert summary["iters"] == 1 and summary["seed"] == 7
+
+
+def test_trace_append_numbers_rows_and_rejects_a_nonfinite_phi(rng):
+    prob = random_hankel_problem(rng, j=3, k=4, mu=0.5)
+    x = rng.standard_normal(prob.size)
+    f_smooth, sqloss, _ = smooth_terms(prob, x)
+    row = dict(theta=0.0, sigma_top=1.0, rank=2, factor_rank=3)
+    trace = SolveTrace()
+    phi = trace.append(prob, x, 2.0, **row)
+    assert phi == f_smooth + prob.mu * 2.0
+    assert trace.append(prob, x, 2.0, psi=7.0, **row) == phi
+    first, second = trace.records
+    assert (first.iteration, second.iteration) == (1, 2)
+    assert first.psi == phi and second.psi == 7.0    # psi defaults to phi
+    assert (first.f_smooth, first.square_loss) == (f_smooth, sqloss)
+    assert 0.0 < first.time_s <= second.time_s
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DivergedError, match="at iteration 3") as exc:
+            trace.append(prob, x, bad, **row)
+        assert exc.value.trace is trace
+        assert trace.converged_reason == "diverged" and trace.wall_time_s > 0.0
+        assert len(trace.records) == 2
 
 
 def test_lam_stages():
