@@ -5,8 +5,12 @@ keeps a dense iterate and computes all of its singular values every
 iteration, which is the cost profile the factored solver is meant to avoid.
 The thresholding takes all singular values from one eigensolve of the k x k
 Gram of the short side (k = min(M, N)) and never normalizes a right singular
-vector; the step size comes in closed form from the problem data.  With a
-long iteration budget it doubles as the reference optimum for tests.
+vector; the step size comes in closed form from the problem data.  Each
+accepted iterate is evaluated once, as its residual AC x - b and its Gram
+term B^T B x: the trace row's f comes from them, with the penalty read as
+<x, B^T B x>, and the gradient at the extrapolated point by linearity, so an
+iteration makes three sparse products (AC, AC^T and B's Gram).  With a long
+iteration budget it doubles as the reference optimum for tests.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcg import SolverConfig, SolveTrace, _continuation, structured_rank
-from .linalg import short_side_svd, unvec, vec
-from .objective import PenaltyProblem, _grad_vec
+from .linalg import short_side_svd, spmv_t, unvec, vec
+from .objective import PenaltyProblem, affine_terms, smooth_terms_from
 from .structure import constraint_gram_norm
 
 
@@ -71,6 +75,15 @@ def _svt_with_values(x, tau):
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     """FISTA on f + mu * nuclear norm; returns (dense X, trace).
 
+    Each accepted iterate x_k, and x_0, is evaluated once by
+    ``affine_terms``: r_k = AC x_k - b and q_k = B^T B x_k (one AC and one
+    Gram product).  Its row's f is ``smooth_terms_from`` them, the penalty
+    read as (lam/2) <x_k, q_k>.  The gradient at y = x_k + beta (x_k -
+    x_{k-1}) is AC^T r_y + lam q_y, with r_y and q_y the same combination
+    of the carried terms, so the step takes one AC^T product: three sparse
+    products per iteration, none with B itself.  A B without rows has a
+    zero Gram, and lam = 0 zeroes its term, as in ``_grad_vec``.
+
     Rows go through the conditional-gradient ``SolveTrace.append``; here psi
     equals phi, theta is 0, sigma_top is the iterate's largest singular
     value, and factor_rank counts the singular values surviving the
@@ -92,21 +105,34 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         else np.ones((prob.rows, prob.cols))
     if x_prev.shape != (prob.rows, prob.cols):
         raise ValueError("initializer shape does not match the problem")
-    y = x_prev.copy()
+    # x_pen = x - step lam q, x moved by the penalty part of its gradient
+    # step, extrapolates like x and q, so z = y - step grad f(y) is the
+    # extrapolated x_pen less step AC^T r_y.
+    resid, gram_x = affine_terms(prob, vec(x_prev))
+    x_pen = x_prev - (step * prob.lam) * unvec(gram_x, prob.rows, prob.cols)
+    resid_prev, x_pen_prev = resid, x_pen
+    beta = 0.0
     t_mom = 1.0
     phi_prev = None
 
     for k in range(1, config.max_iter + 1):
-        z = y - step * unvec(_grad_vec(prob, vec(y)), prob.rows, prob.cols)
+        resid_y = resid + beta * (resid - resid_prev)
+        z = x_pen + beta * (x_pen - x_pen_prev)
+        z -= unvec(spmv_t(prob.AC, step * resid_y), prob.rows, prob.cols)
         try:
             x_new, s_vals = _svt_with_values(z, tau)
         except ValueError as exc:  # the prox rejects a non-finite gradient step
             raise trace.diverged(f"non-finite gradient step at iteration {k}") from exc
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        beta = (t_mom - 1.0) / t_new
         step_x = x_new - x_prev
-        y = x_new + ((t_mom - 1.0) / t_new) * step_x
 
-        phi = trace.append(prob, vec(x_new), float(s_vals.sum()), theta=0.0,
+        x = vec(x_new)
+        resid_prev, x_pen_prev = resid, x_pen
+        resid, gram_x = affine_terms(prob, x)
+        x_pen = x_new - (step * prob.lam) * unvec(gram_x, prob.rows, prob.cols)
+        phi = trace.append(prob, smooth_terms_from(prob, x, resid, gram_x),
+                           float(s_vals.sum()), theta=0.0,
                            sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
                            rank=-1,  # not read; the final row's is set after the loop
                            factor_rank=int(np.sum(s_vals > 0.0)))

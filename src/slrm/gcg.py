@@ -139,13 +139,15 @@ class SolveTrace:
     wall_time_s: float = 0.0
     t0: float = field(default_factory=time.perf_counter)
 
-    def append(self, prob: PenaltyProblem, x, nuclear, **row):
-        """Record the iterate with vec(X) = x and |X|_* = nuclear; returns phi.
+    def append(self, prob: PenaltyProblem, terms, nuclear, **row):
+        """Record an iterate from its smooth terms and |X|_* = nuclear; returns phi.
 
-        phi = f(x) + mu * nuclear; ``row`` holds the other columns, psi
-        defaults to phi.  A non-finite phi adds no row and raises ``diverged``.
+        ``terms`` is ``(f, square loss, penalty)`` at the iterate, as
+        ``smooth_terms`` returns them; phi = f + mu * nuclear.  ``row`` holds
+        the other columns, psi defaults to phi.  A non-finite phi adds no row
+        and raises ``diverged``.
         """
-        f_smooth, sqloss, _ = smooth_terms(prob, x)
+        f_smooth, sqloss, _ = terms
         phi = f_smooth + prob.mu * nuclear
         k = len(self.records) + 1
         if not np.isfinite(phi):
@@ -432,21 +434,21 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
                                       budget=config.local_search_max_steps)
         if config.recompress:
             cand, psi_cand = _recompressed(prob, cand, psi_cand)
-        held = not psi_cand <= psi_prev + PSI_SLACK
+        if not np.isfinite(psi_cand):  # before the hold, which would keep psi_prev
+            raise trace.diverged(f"non-finite objective at iteration {k}")
+        held = psi_cand > psi_prev + PSI_SLACK
         if held:
             # no move raises psi beyond rounding, so only rounding gets here
             cand, psi_cand, theta = factors, psi_prev, 0.0
-        if not np.isfinite(psi_cand):
-            raise trace.diverged(f"non-finite objective at iteration {k}")
 
         x = vec(cand.product())
         if config.track_structured_rank:
             rank = structured_rank(prob, x)
         else:
             rank = rank_estimate(factor_svd(cand)[1])
-        phi = trace.append(prob, x, factor_nuclear_norm(cand), psi=psi_cand,
-                           theta=theta, sigma_top=pair.sigma, rank=rank,
-                           factor_rank=cand.rank)
+        phi = trace.append(prob, smooth_terms(prob, x), factor_nuclear_norm(cand),
+                           psi=psi_cand, theta=theta, sigma_top=pair.sigma,
+                           rank=rank, factor_rank=cand.rank)
         dx = _frob_dist(cand, factors)
         # a held step is not convergence, only zero motion
         reason = "" if held else config.stop_reason(dx, phi, phi_prev)

@@ -81,10 +81,21 @@ def spmv_t(a: SparseMatrix, y):
     return a._adjoint @ np.asarray(y, dtype=float)
 
 
+# A short side whose peak p lies in [2^-100, 2^101) is used as it is.  Its
+# Gram's largest entry, between p^2 and N p^2, then stays inside
+# [2^-485, 2^255], where LAPACK's symmetric eigensolvers do not rescale
+# (for any N < 2^53), and a row of entries at eps p still has normal
+# squares (2^-304 and up), so no row that counts at rounding underflows.
+UNSCALED_MAX_EXPONENT = 100
+
+
 def _short_side(a, name):
     """``(s, scale, left)``: the short side of ``a`` (``a`` if ``left``, else
-    ``a.T``) over the exact power of two that brings its peak to [1, 2), so
-    its Gram cannot overflow.  Raises on an empty or non-finite ``a``."""
+    ``a.T``) over ``scale``, an exact power of two.  Inside the window of
+    ``UNSCALED_MAX_EXPONENT`` s is a view of ``a`` and scale is 1.0, so the
+    caller must not write into it; outside, s is a scaled copy with its peak
+    in [1, 2), whose Gram cannot overflow.  Raises on an empty or non-finite
+    ``a``."""
     a = np.asarray(a, dtype=float)
     if not a.size:
         raise ValueError("matrix must have positive dimensions")
@@ -93,7 +104,10 @@ def _short_side(a, name):
         raise ValueError(f"non-finite entries in matrix passed to {name}")
     exponent = int(np.frexp(peak)[1]) - 1
     left = a.shape[0] <= a.shape[1]
-    return np.ldexp(a if left else a.T, -exponent), float(np.ldexp(1.0, exponent)), left
+    s = a if left else a.T
+    if abs(exponent) <= UNSCALED_MAX_EXPONENT:
+        return s, 1.0, left
+    return np.ldexp(s, -exponent), float(np.ldexp(1.0, exponent)), left
 
 
 def short_side_svd(a):
@@ -102,15 +116,19 @@ def short_side_svd(a):
     u holds the eigenvectors of the Gram ``s s^T`` from one ``eigh``, the rows
     of ``w = u^T s`` are sigma times the right singular vectors, and sigma,
     descending, are their norms: near 1e-15 sigma_max at a zero singular
-    value, where the eigenvalues' roots read ~1e-8.  Raises on non-finite input.
+    value, where the eigenvalues' roots read ~1e-8.  Only a peak outside the
+    window of ``_short_side`` is rescaled, and w and sigma scaled back; ``a``
+    is never written.  Raises on non-finite input.
     """
     s, scale, _ = _short_side(a, "short_side_svd")
     u, sigma, w = _gram_svd(s)
     if np.any(sigma[1:] > sigma[:-1]):  # rounding swapped two rows
         order = np.argsort(sigma)[::-1]
         u, sigma, w = u[:, order], sigma[order], w[order]
-    w *= scale
-    return u, scale * sigma, w
+    if scale != 1.0:
+        w *= scale
+        sigma = scale * sigma
+    return u, sigma, w
 
 
 def _gram_svd(s, floor=None):
@@ -130,8 +148,10 @@ def _gram_svd(s, floor=None):
 
 def singular_values(a):
     """All singular values of a dense matrix, descending.  Under 4,096 entries
-    one LAPACK call (12 x 16: 25 us) beats the Gram route of ``short_side_svd``
-    (70 us), which wins above (36 x 676: 0.33 against 0.77 ms)."""
+    one LAPACK call (12 x 16: 24 us) beats the Gram route of ``short_side_svd``
+    (40 us), which wins above (36 x 676: 0.23 against 0.51 ms; best of 7 on
+    2 cores, OpenBLAS at 1 thread).  Both read an unscaled short side as a
+    view (``_short_side``)."""
     s, scale, _ = _short_side(a, "singular_values")
     sigma = np.linalg.svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
     return scale * np.sort(sigma)[::-1]

@@ -132,6 +132,28 @@ def smooth_terms(prob: PenaltyProblem, x):
     return sqloss + pen, sqloss, pen
 
 
+def affine_terms(prob: PenaltyProblem, x):
+    """``(AC x - b, B^T B x)`` at a vectorized point, from AC and B's Gram.
+
+    f is read from these two (``smooth_terms_from``), and its gradient is
+    ``AC^T r + lam B^T B x``.  Both terms are affine in x, so the terms of a
+    combination of points are the same combination of theirs.  A B without
+    rows has a zero Gram, so its term is 0.
+    """
+    return spmv(prob.AC, x) - prob.target, spmv(prob.B.gram, x)
+
+
+def smooth_terms_from(prob: PenaltyProblem, x, resid, gram_x):
+    """``smooth_terms`` at x from its ``affine_terms``, with no sparse product.
+
+    The penalty is read as ``(lam/2) <x, B^T B x>``, equal to
+    ``(lam/2) |B x|^2`` up to rounding.
+    """
+    sqloss = 0.5 * float(resid @ resid)
+    pen = 0.5 * prob.lam * float(x @ gram_x)
+    return sqloss + pen, sqloss, pen
+
+
 def f_value(prob: PenaltyProblem, x):
     return smooth_terms(prob, x)[0]
 

@@ -7,6 +7,16 @@ from slrm.structure import (StructureSpec, block_hankel_spec, hankel_spec,
                             two_fold_hankel_spec)
 
 
+def observed_problems(rng, lam, mu=0.3):
+    """(name, problem) on each of ``assorted_specs``, half the parameters
+    observed with random targets; B has no rows on hankel_one_row."""
+    for name, spec in assorted_specs().items():
+        n = spec.n_params
+        idx = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        yield name, assemble(spec, _selection_matrix(idx, n),
+                             rng.standard_normal(idx.size), lam, mu)
+
+
 def random_hankel_problem(rng, j=None, k=None, lam=0.7, mu=0.3, frac=1.0):
     """Small Hankel recovery problem with a random observed subset."""
     j = int(rng.integers(2, 6)) if j is None else j

@@ -5,15 +5,16 @@ import pytest
 from dataclasses import replace
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from slrm import apps, baseline
+from slrm import apps, baseline, objective
 from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
 from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank
-from slrm.linalg import SparseMatrix, vec
-from slrm.objective import _hess_vec, assemble, smooth_terms
+from slrm.linalg import SparseMatrix, spmv, spmv_t, unvec, vec
+from slrm.objective import _grad_vec, _hess_vec, assemble, smooth_terms
 from slrm.structure import hankel_spec
 
-from conftest import assorted_specs, random_hankel_problem, spectral_test_matrices
+from conftest import (assorted_specs, observed_problems, random_hankel_problem,
+                      spectral_test_matrices)
 
 
 def test_apg_config_validation():
@@ -257,3 +258,83 @@ def test_apg_reads_the_structured_rank_once(monkeypatch):
     col = header.split(",").index("rank")
     ranks = [row.split(",")[col] for row in rows]
     assert ranks == ["-1"] * 39 + [str(trace.records[-1].rank)]
+
+
+def _spy_iterates(monkeypatch):
+    # every iterate solve_apg thresholds, in order
+    iterates = []
+
+    def spy(z, tau):
+        out = _svt_with_values(z, tau)
+        iterates.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(baseline, "_svt_with_values", spy)
+    return iterates
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_makes_three_sparse_products_per_iteration(rng, monkeypatch, lam):
+    # the residuals of the accepted iterates are carried: one AC^T, one AC
+    # and one Gram product per step, after one AC and one Gram at x_0, and
+    # no product with B itself
+    calls = []
+    for module, kind, fn in ((objective, "spmv", spmv), (objective, "spmv_t", spmv_t),
+                             (baseline, "spmv_t", spmv_t)):
+        monkeypatch.setattr(module, kind,
+                            lambda a, x, kind=kind, fn=fn: calls.append((kind, a)) or fn(a, x))
+    for name, prob in observed_problems(rng, lam):
+        calls.clear()
+        _, trace = solve_apg(prob, ApgConfig.oracle(7))
+        ac, gram = prob.AC, prob.B.gram
+        step = [("spmv_t", ac), ("spmv", ac), ("spmv", gram)]
+        want = [("spmv", ac), ("spmv", gram)] + len(trace.records) * step
+        assert len(calls) == len(want), name
+        assert all(k == wk and a is wa for (k, a), (wk, wa) in zip(calls, want)), name
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_rows_match_smooth_terms_at_their_iterates(rng, monkeypatch, lam):
+    iterates = _spy_iterates(monkeypatch)
+    for name, prob in observed_problems(rng, lam):
+        iterates.clear()
+        _, trace = solve_apg(prob, ApgConfig.oracle(25))
+        assert len(iterates) == len(trace.records), name
+        for x, row in zip(iterates, trace.records):
+            f, sq, _ = smooth_terms(prob, vec(x))
+            phi = f + prob.mu * np.linalg.svd(x, compute_uv=False).sum()
+            got = (row.f_smooth, row.square_loss, row.phi)
+            np.testing.assert_allclose(got, (f, sq, phi), rtol=1e-12, atol=0,
+                                       err_msg=f"{name}, row {row.iteration}")
+
+
+def _direct_gradient_apg(prob, iters):
+    # FISTA with the gradient taken at every extrapolated point y
+    lip = lipschitz_estimate(prob)
+    step = 1.0 / lip if lip > 0.0 else 1.0
+    x_prev = np.ones((prob.rows, prob.cols))
+    y, t_mom, out = x_prev, 1.0, []
+    for _ in range(iters):
+        z = y - step * unvec(_grad_vec(prob, vec(y)), prob.rows, prob.cols)
+        x_new = svt(z, prob.mu * step)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x_prev)
+        x_prev, t_mom = x_new, t_new
+        out.append(x_new)
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_iterates_match_a_direct_gradient_loop(rng, monkeypatch, lam):
+    iterates = _spy_iterates(monkeypatch)
+    # the oracle's stop rule still fires where phi stops moving exactly
+    monkeypatch.setattr(ApgConfig, "stop_reason", lambda self, *args: "")
+    for name, prob in observed_problems(rng, lam):
+        want = _direct_gradient_apg(prob, 60)
+        iterates.clear()
+        x, _ = solve_apg(prob, ApgConfig(max_iter=60))
+        assert len(iterates) == 60, name
+        for k, (got, ref) in enumerate(zip(iterates, want), 1):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10,
+                                       err_msg=f"{name}, iterate {k}")
+        np.testing.assert_array_equal(x, iterates[-1])

@@ -355,6 +355,31 @@ def test_solve_rejects_bad_init(rng):
     assert exc.value.trace.records == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_local_search_diverges(rng, monkeypatch, bad):
+    # from the third iteration on the local search returns non-finite
+    # factors; the step must not be held at the previous psi, which would
+    # run out the budget as "max_iter"
+    prob = random_hankel_problem(rng, j=4, k=5, mu=0.2)
+    calls = []
+
+    def poisoned(p, u, v, budget):
+        calls.append(1)
+        if len(calls) < 3:
+            return local_search(p, u, v, budget)
+        factors = FactorPair(np.full_like(u, bad), np.full_like(v, bad))
+        return factors, psi_value(p, factors)
+
+    monkeypatch.setattr(gcg, "local_search", poisoned)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError,
+                                                  match="at iteration 3") as exc:
+        solve(prob, GcgConfig(max_iter=50, tol_x=1e-300, tol_obj=1e-300))
+    trace = exc.value.trace
+    assert trace.converged_reason == "diverged" and trace.wall_time_s > 0.0
+    assert [r.iteration for r in trace.records] == [1, 2]
+    assert np.all(np.isfinite(trace.column("phi")))
+
+
 def test_solve_without_local_search_still_descends(rng):
     prob = random_hankel_problem(rng, j=4, k=4, mu=0.2)
     cfg = GcgConfig(max_iter=30, seed=1, local_search_max_steps=0)
@@ -393,13 +418,13 @@ def test_trace_csv_roundtrip():
 
 def test_trace_append_numbers_rows_and_rejects_a_nonfinite_phi(rng):
     prob = random_hankel_problem(rng, j=3, k=4, mu=0.5)
-    x = rng.standard_normal(prob.size)
-    f_smooth, sqloss, _ = smooth_terms(prob, x)
+    terms = smooth_terms(prob, rng.standard_normal(prob.size))
+    f_smooth, sqloss, _ = terms
     row = dict(theta=0.0, sigma_top=1.0, rank=2, factor_rank=3)
     trace = SolveTrace()
-    phi = trace.append(prob, x, 2.0, **row)
+    phi = trace.append(prob, terms, 2.0, **row)
     assert phi == f_smooth + prob.mu * 2.0
-    assert trace.append(prob, x, 2.0, psi=7.0, **row) == phi
+    assert trace.append(prob, terms, 2.0, psi=7.0, **row) == phi
     first, second = trace.records
     assert (first.iteration, second.iteration) == (1, 2)
     assert first.psi == phi and second.psi == 7.0    # psi defaults to phi
@@ -407,7 +432,7 @@ def test_trace_append_numbers_rows_and_rejects_a_nonfinite_phi(rng):
     assert 0.0 < first.time_s <= second.time_s
     for bad in (np.nan, np.inf):
         with pytest.raises(DivergedError, match="at iteration 3") as exc:
-            trace.append(prob, x, bad, **row)
+            trace.append(prob, terms, bad, **row)
         assert exc.value.trace is trace
         assert trace.converged_reason == "diverged" and trace.wall_time_s > 0.0
         assert len(trace.records) == 2

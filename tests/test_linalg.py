@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slrm import apps, gcg
-from slrm.linalg import (SparseMatrix, short_side_svd, singular_values, spmv,
-                         spmv_t, top_singular_pair, unvec, vec)
+from slrm.linalg import (SparseMatrix, _short_side, short_side_svd,
+                         singular_values, spmv, spmv_t, top_singular_pair,
+                         unvec, vec)
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
 from conftest import spectral_test_matrices
@@ -170,6 +171,30 @@ def test_short_side_svd_matches_the_full_svd(rng):
     }
     for name, a in cases.items():
         _assert_short_side_svd(a, name)
+
+
+@pytest.mark.parametrize("exponent", [-101, -100, 100, 101])
+@pytest.mark.parametrize("shape", [(7, 19), (19, 7), (12, 400), (400, 12)])
+def test_short_side_is_a_view_inside_the_window(rng, exponent, shape):
+    # peaks at both edges of the unscaled window, 2^-100 to 2^101, and just
+    # outside it; the larger shapes take singular_values' Gram route.
+    # Inside, the short side is a view of the input with scale 1; no route
+    # writes into it
+    a = _with_spectrum(rng, *shape, np.logspace(0.0, -6.0, min(shape)))
+    a = np.ldexp(a, exponent + 1 - int(np.frexp(np.abs(a).max())[1]))
+    assert int(np.frexp(np.abs(a).max())[1]) - 1 == exponent
+    kept = a.copy()
+    s, scale, left = _short_side(a, "test")
+    inside = abs(exponent) <= 100
+    assert (scale == 1.0) == inside and np.shares_memory(s, a) == inside
+    assert left == (shape[0] <= shape[1])
+    _assert_short_side_svd(a, f"2^{exponent}")
+    res = top_singular_pair(a)
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    assert abs(res.sigma - top) <= 1e-12 * top
+    assert np.linalg.norm((a @ res.v - res.sigma * res.u) / top) <= 1e-12
+    assert np.linalg.norm((a.T @ res.u - res.sigma * res.v) / top) <= 1e-12
+    np.testing.assert_array_equal(a, kept)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from slrm.apps import _selection_matrix
 from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
 from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
-                            _grad_vec, _hess_vec, assemble, f_value,
-                            factor_nuclear_norm, factor_svd, grad_f, phi_value,
-                            psi_value, smooth_terms, step_model)
-from slrm.structure import build_B, build_C, hankel_spec
+                            _grad_vec, _hess_vec, affine_terms, assemble,
+                            f_value, factor_nuclear_norm, factor_svd, grad_f,
+                            phi_value, psi_value, smooth_terms, smooth_terms_from,
+                            step_model)
+from slrm.structure import apply_structure, build_B, build_C, hankel_spec
 
-from conftest import random_hankel_problem
+from conftest import observed_problems, random_hankel_problem
 
 
 def test_factor_pair_basics():
@@ -106,6 +107,30 @@ def test_smooth_terms_against_dense(rng):
     assert f_value(prob, x) == f
     with pytest.raises(ValueError):
         smooth_terms(prob, x[:-1])
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_terms_from_the_affine_products(rng, lam):
+    # the penalty read as <x, B^T B x> is |B x|^2 at rounding, and exactly 0
+    # at a structured point, which B annihilates; f and the gradient
+    # AC^T r + lam B^T B x read from (r, B^T B x) = (AC x - b, B^T B x)
+    # match smooth_terms and _grad_vec
+    for name, prob in observed_problems(rng, lam):
+        x = rng.standard_normal(prob.size)
+        resid, gram_x = affine_terms(prob, x)
+        bx = prob.B.to_dense() @ x
+        assert abs(float(x @ gram_x) - float(bx @ bx)) <= 1e-14 * (x @ x), name
+        terms = smooth_terms_from(prob, x, resid, gram_x)
+        np.testing.assert_allclose(terms, smooth_terms(prob, x), rtol=1e-13,
+                                   atol=1e-14 * (x @ x), err_msg=name)
+        grad = spmv_t(prob.AC, resid) + prob.lam * gram_x
+        np.testing.assert_allclose(grad, _grad_vec(prob, x), rtol=0,
+                                   atol=1e-13 * np.linalg.norm(x), err_msg=name)
+        y = rng.standard_normal(prob.spec.n_params)
+        structured = vec(apply_structure(prob.spec, y))
+        resid, gram_x = affine_terms(prob, structured)
+        assert not np.any(gram_x), name
+        assert smooth_terms_from(prob, structured, resid, gram_x)[2] == 0.0, name
 
 
 def test_grad_matches_finite_differences(rng):
