@@ -8,9 +8,13 @@ over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
 improve the factors: a block of few unknowns on a small lift is solved
 exactly from its reduced normal matrix by one Cholesky factorization, any
 other block by a few steps of scipy's conjugate gradient.  Both apply the
-Hessian as the same sparse products with AC and B.  A thin-SVD re-balance
-keeps the surrogate on the nuclear norm.  No move raises the surrogate
-objective psi beyond rounding.
+Hessian as the same sparse products with AC and B's Gram.  A thin-SVD
+re-balance keeps the surrogate on the nuclear norm.  No move raises the
+surrogate objective psi beyond rounding.
+
+Each accepted iterate, and the start, is evaluated once: the row, the next
+``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V).
+No product is taken with B itself, only with its Gram.
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
@@ -27,9 +31,9 @@ from scipy.linalg.lapack import dposv
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
-from .objective import (FactorPair, PenaltyProblem, _hess_vec,
-                        factor_nuclear_norm, factor_svd, grad_f, phi_value,
-                        psi_value, smooth_terms, step_model)
+from .objective import (FactorPair, PenaltyProblem, _hess_vec, _iterate_terms,
+                        factor_nuclear_norm, factor_svd, grad_f, psi_value,
+                        smooth_terms_from, step_model)
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
@@ -423,12 +427,14 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         raise trace.diverged("non-finite objective at the initial point")
     if config.recompress:
         factors, psi_prev = _recompressed(prob, factors, psi_prev)
-    phi_prev = phi_value(prob, factors)
+    terms = _iterate_terms(prob, factors)
+    phi_prev = (smooth_terms_from(prob, *terms)[0]
+                + prob.mu * factor_nuclear_norm(factors))
 
     for k in range(1, config.max_iter + 1):
-        g = grad_f(prob, factors)
+        g = grad_f(prob, factors, terms)
         pair = top_singular_pair(-g)
-        a, theta, _ = step_model(prob, factors, pair.u, pair.v).minimize()
+        a, theta, _ = step_model(prob, factors, pair.u, pair.v, terms).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, psi_cand = local_search(prob, cand.U, cand.V,
                                       budget=config.local_search_max_steps)
@@ -441,12 +447,13 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             # no move raises psi beyond rounding, so only rounding gets here
             cand, psi_cand, theta = factors, psi_prev, 0.0
 
-        x = vec(cand.product())
+        terms = _iterate_terms(prob, cand)  # (x, AC x - b, B^T B x)
         if config.track_structured_rank:
-            rank = structured_rank(prob, x)
+            rank = structured_rank(prob, terms[0])
         else:
             rank = rank_estimate(factor_svd(cand)[1])
-        phi = trace.append(prob, smooth_terms(prob, x), factor_nuclear_norm(cand),
+        phi = trace.append(prob, smooth_terms_from(prob, *terms),
+                           factor_nuclear_norm(cand),
                            psi=psi_cand, theta=theta, sigma_top=pair.sigma,
                            rank=rank, factor_rank=cand.rank)
         dx = _frob_dist(cand, factors)

@@ -5,6 +5,8 @@ column-major vectorization x of an M x N matrix X; the full objective adds
 mu times the nuclear norm of X.  Iterates are kept in factored form
 X = U @ V, which also yields the variational surrogate
 tau = (|U|_F^2 + |V|_F^2) / 2 >= |X|_*.
+f, its gradient and the step model read a point's ``affine_terms``, so B
+enters only through its Gram.
 """
 
 from __future__ import annotations
@@ -121,15 +123,12 @@ def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
 
 
 def smooth_terms(prob: PenaltyProblem, x):
-    """(f, square loss, structure penalty) at a vectorized point."""
+    """(f, square loss, structure penalty) at a vectorized point, from its
+    ``affine_terms``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.size,):
         raise ValueError(f"expected vector of length {prob.size}")
-    resid = spmv(prob.AC, x) - prob.target
-    sqloss = 0.5 * float(resid @ resid)
-    bx = spmv(prob.B, x)
-    pen = 0.5 * prob.lam * float(bx @ bx)
-    return sqloss + pen, sqloss, pen
+    return smooth_terms_from(prob, x, *affine_terms(prob, x))
 
 
 def affine_terms(prob: PenaltyProblem, x):
@@ -158,12 +157,19 @@ def f_value(prob: PenaltyProblem, x):
     return smooth_terms(prob, x)[0]
 
 
+def _iterate_terms(prob: PenaltyProblem, factors: FactorPair):
+    # (x, AC x - b, B^T B x) at x = vec(U V)
+    x = vec(factors.product())
+    return (x, *affine_terms(prob, x))
+
+
+def _grad_from(prob: PenaltyProblem, resid, gram_x):
+    # AC^T r + lam B^T B x on vec space, from the point's affine_terms
+    return spmv_t(prob.AC, resid) + prob.lam * gram_x
+
+
 def _grad_vec(prob: PenaltyProblem, x):
-    # AC^T (AC x - b) + lam B^T B x on vec space, B^T B from B's cached Gram
-    g = spmv_t(prob.AC, spmv(prob.AC, x) - prob.target)
-    if prob.B.n_rows:
-        g = g + prob.lam * spmv(prob.B.gram, x)
-    return g
+    return _grad_from(prob, *affine_terms(prob, x))
 
 
 def _hess_vec(prob: PenaltyProblem, x):
@@ -173,19 +179,17 @@ def _hess_vec(prob: PenaltyProblem, x):
     local search applies it to a vector in each CG step and to the (MN x d)
     block P of an exact block solve (``gcg._block_normal``).
     """
-    out = spmv_t(prob.AC, spmv(prob.AC, x))
-    if prob.B.n_rows:
-        out = out + prob.lam * spmv(prob.B.gram, x)
-    return out
+    return spmv_t(prob.AC, spmv(prob.AC, x)) + prob.lam * spmv(prob.B.gram, x)
 
 
-def grad_f(prob: PenaltyProblem, factors: FactorPair):
-    """Dense M x N gradient of f at X = U @ V.
+def grad_f(prob: PenaltyProblem, factors: FactorPair, terms=None):
+    """Dense M x N gradient of f at X = U @ V, for the top singular pair.
 
-    Cost is O(M N r) for the product plus the sparse work; the result is
-    dense because the top-singular-pair subproblem consumes it directly.
+    ``terms``, the iterate's ``(x, AC x - b, B^T B x)`` with x = vec(U V),
+    leaves one AC^T product; without it they are evaluated first.
     """
-    return unvec(_grad_vec(prob, vec(factors.product())), prob.rows, prob.cols)
+    _, resid, gram_x = _iterate_terms(prob, factors) if terms is None else terms
+    return unvec(_grad_from(prob, resid, gram_x), prob.rows, prob.cols)
 
 
 def factor_svd(factors: FactorPair):
@@ -277,30 +281,22 @@ class StepModel:
         return a, theta, self.value(a, theta)
 
 
-def step_model(prob: PenaltyProblem, factors: FactorPair, z_u, z_v):
+def step_model(prob: PenaltyProblem, factors: FactorPair, z_u, z_v, terms=None):
     """The StepModel of ``factors`` joined by the unit atom z_u z_v^T.
 
-    Its coefficients come from AC x, AC z, B x and B z, with x = vec(U V)
-    and z = vec(z_u z_v^T).
+    ``terms`` is optional, as for ``grad_f``.  With z = vec(z_u z_v^T),
+    <Bx, Bx>, <Bx, Bz> and <Bz, Bz> are read as <x, B^T B x>, <B^T B x, z>
+    and <z, B^T B z>: one AC and one Gram product for the atom, none with B.
     """
-    x = vec(factors.product())
+    x, resid, gram_x = _iterate_terms(prob, factors) if terms is None else terms
     z = vec(np.outer(z_u, z_v))
-    p = spmv(prob.AC, x)
+    p = resid + prob.target  # AC x
     q = spmv(prob.AC, z)
-    resid = p - prob.target
-    f0 = 0.5 * float(resid @ resid)
-    grad_a, grad_theta = float(resid @ p), float(resid @ q)
-    h_aa, h_at, h_tt = float(p @ p), float(p @ q), float(q @ q)
-    if prob.B.n_rows:
-        s = spmv(prob.B, x)
-        t = spmv(prob.B, z)
-        ss, st = prob.lam * float(s @ s), prob.lam * float(s @ t)
-        f0 += 0.5 * ss
-        grad_a += ss
-        grad_theta += st
-        h_aa += ss
-        h_at += st
-        h_tt += prob.lam * float(t @ t)
+    ss = prob.lam * float(x @ gram_x)
+    st = prob.lam * float(gram_x @ z)
+    tt = prob.lam * float(z @ spmv(prob.B.gram, z))
+    f0 = 0.5 * float(resid @ resid) + 0.5 * ss
     tau = prob.mu * factors.surrogate()
-    return StepModel(f0 + tau, grad_a + tau, grad_theta + prob.mu,
-                     h_aa, h_at, h_tt)
+    return StepModel(f0 + tau, float(resid @ p) + ss + tau,
+                     float(resid @ q) + st + prob.mu,
+                     float(p @ p) + ss, float(p @ q) + st, float(q @ q) + tt)

@@ -17,6 +17,16 @@ def observed_problems(rng, lam, mu=0.3):
                              rng.standard_normal(idx.size), lam, mu)
 
 
+def dense_smooth_terms(prob, x):
+    """(f, square loss, penalty) at a vectorized x, from the dense AC and B:
+    0.5 |AC x - b|^2 and (lam/2) |B x|^2."""
+    resid = prob.AC.to_dense() @ x - prob.target
+    bx = prob.B.to_dense() @ x
+    sq = 0.5 * float(resid @ resid)
+    pen = 0.5 * prob.lam * float(bx @ bx)
+    return sq + pen, sq, pen
+
+
 def random_hankel_problem(rng, j=None, k=None, lam=0.7, mu=0.3, frac=1.0):
     """Small Hankel recovery problem with a random observed subset."""
     j = int(rng.integers(2, 6)) if j is None else j

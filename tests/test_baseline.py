@@ -13,8 +13,8 @@ from slrm.linalg import SparseMatrix, spmv, spmv_t, unvec, vec
 from slrm.objective import _grad_vec, _hess_vec, assemble, smooth_terms
 from slrm.structure import hankel_spec
 
-from conftest import (assorted_specs, observed_problems, random_hankel_problem,
-                      spectral_test_matrices)
+from conftest import (assorted_specs, dense_smooth_terms, observed_problems,
+                      random_hankel_problem, spectral_test_matrices)
 
 
 def test_apg_config_validation():
@@ -301,7 +301,7 @@ def test_apg_rows_match_smooth_terms_at_their_iterates(rng, monkeypatch, lam):
         _, trace = solve_apg(prob, ApgConfig.oracle(25))
         assert len(iterates) == len(trace.records), name
         for x, row in zip(iterates, trace.records):
-            f, sq, _ = smooth_terms(prob, vec(x))
+            f, sq, _ = dense_smooth_terms(prob, vec(x))
             phi = f + prob.mu * np.linalg.svd(x, compute_uv=False).sum()
             got = (row.f_smooth, row.square_loss, row.phi)
             np.testing.assert_allclose(got, (f, sq, phi), rtol=1e-12, atol=0,

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from slrm import apps, gcg
+from slrm import apps, gcg, objective
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
                       _recompressed, compress, lam_stages, local_search,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
-from slrm.linalg import SparseMatrix, spmv_t, top_singular_pair, unvec, vec
+from slrm.linalg import SparseMatrix, spmv, spmv_t, top_singular_pair, unvec, vec
 from slrm.objective import (FactorPair, phi_value, psi_value, smooth_terms,
                             step_model)
 
-from conftest import random_hankel_problem
+from conftest import dense_smooth_terms, observed_problems, random_hankel_problem
 
 
 def test_config_validation():
@@ -244,6 +244,64 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
         previous = np.concatenate([packed_psi[:1], psi[:-1]])
         assert np.all(np.array(packed_psi[1:]) <= previous + PSI_SLACK)
         assert np.all(np.diff(psi) <= PSI_SLACK)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
+    # Outside local_search and _recompressed an iteration forms U V once and
+    # makes 2 AC, 1 AC^T, 2 Gram and 1 C products: AC^T for the gradient, AC
+    # and the Gram on the atom for the step model, AC and the Gram on the
+    # accepted iterate, C for its rank.  Before the loop, psi at the
+    # initializer and the start's evaluation form U V and apply AC and the
+    # Gram once each.  No product anywhere in the solve is with B itself.
+    outside, inside, depth = [], [], [0]
+
+    def log(kind, a):
+        (inside if depth[0] else outside).append((kind, a))
+
+    for module, kind, fn in ((objective, "spmv", spmv), (objective, "spmv_t", spmv_t),
+                             (gcg, "spmv", spmv)):
+        monkeypatch.setattr(module, kind,
+                            lambda a, x, kind=kind, fn=fn: log(kind, a) or fn(a, x))
+    product = FactorPair.product
+    monkeypatch.setattr(FactorPair, "product", lambda self: log("UV", None) or product(self))
+    for nested in ("local_search", "_recompressed"):
+        def counted_inside(*args, _fn=getattr(gcg, nested), **kwargs):
+            depth[0] += 1
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(gcg, nested, counted_inside)
+    for name, prob in observed_problems(rng, lam):
+        outside.clear()
+        inside.clear()
+        _, trace = solve(prob, GcgConfig(max_iter=6))
+        ac, gram = prob.AC, prob.B.gram
+        evaluation = [("UV", None), ("spmv", ac), ("spmv", gram)]
+        step = [("spmv_t", ac), ("spmv", ac), ("spmv", gram)] + evaluation + [("spmv", prob.C)]
+        want = 2 * evaluation + len(trace.records) * step
+        assert len(outside) == len(want), name
+        assert all(k == wk and a is wa for (k, a), (wk, wa) in zip(outside, want)), name
+        assert inside and not any(a is prob.B for _, a in outside + inside), name
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam):
+    # A solve is deterministic, so the one capped at k iterations returns
+    # row k's iterate.  Its f, square loss and phi are formed from the dense
+    # AC and B and the nuclear norm of a full SVD.
+    config = dict(tol_x=1e-300, tol_obj=1e-300)
+    for name, prob in observed_problems(rng, lam):
+        _, trace = solve(prob, GcgConfig(max_iter=8, **config))
+        for row in trace.records:
+            fac, _ = solve(prob, GcgConfig(max_iter=row.iteration, **config))
+            x = fac.product()
+            f, sq, _ = dense_smooth_terms(prob, vec(x))
+            phi = f + prob.mu * np.linalg.svd(x, compute_uv=False).sum()
+            np.testing.assert_allclose((row.f_smooth, row.square_loss, row.phi),
+                                       (f, sq, phi), rtol=1e-12, atol=0,
+                                       err_msg=f"{name}, row {row.iteration}")
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):

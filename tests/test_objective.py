@@ -114,18 +114,23 @@ def test_terms_from_the_affine_products(rng, lam):
     # the penalty read as <x, B^T B x> is |B x|^2 at rounding, and exactly 0
     # at a structured point, which B annihilates; f and the gradient
     # AC^T r + lam B^T B x read from (r, B^T B x) = (AC x - b, B^T B x)
-    # match smooth_terms and _grad_vec
+    # match 0.5 |AC x - b|^2 + (lam/2) |B x|^2 and its gradient, formed
+    # from the dense AC and B
     for name, prob in observed_problems(rng, lam):
         x = rng.standard_normal(prob.size)
         resid, gram_x = affine_terms(prob, x)
-        bx = prob.B.to_dense() @ x
+        ac, bm = prob.AC.to_dense(), prob.B.to_dense()
+        dense_resid, bx = ac @ x - prob.target, bm @ x
         assert abs(float(x @ gram_x) - float(bx @ bx)) <= 1e-14 * (x @ x), name
+        sq = 0.5 * float(dense_resid @ dense_resid)
+        pen = 0.5 * prob.lam * float(bx @ bx)
         terms = smooth_terms_from(prob, x, resid, gram_x)
-        np.testing.assert_allclose(terms, smooth_terms(prob, x), rtol=1e-13,
+        np.testing.assert_allclose(terms, (sq + pen, sq, pen), rtol=1e-13,
                                    atol=1e-14 * (x @ x), err_msg=name)
         grad = spmv_t(prob.AC, resid) + prob.lam * gram_x
-        np.testing.assert_allclose(grad, _grad_vec(prob, x), rtol=0,
-                                   atol=1e-13 * np.linalg.norm(x), err_msg=name)
+        np.testing.assert_allclose(grad, ac.T @ dense_resid + prob.lam * (bm.T @ bx),
+                                   rtol=0, atol=1e-13 * np.linalg.norm(x),
+                                   err_msg=name)
         y = rng.standard_normal(prob.spec.n_params)
         structured = vec(apply_structure(prob.spec, y))
         resid, gram_x = affine_terms(prob, structured)
