@@ -18,7 +18,7 @@ from .linalg import (SparseMatrix, short_side_svd, spmv, spmv_t,
                      top_singular_pair, unvec, vec)
 from .objective import (FactorPair, PenaltyProblem, StepModel,
                         UnboundedDirectionError, assemble, f_value, factor_svd,
-                        grad_f, phi_value, psi_value, step_model)
+                        grad_f, psi_value, step_model)
 from .structure import (RecoveryMode, StructureSpec, apply_structure,
                         block_hankel_spec, build_B, build_C,
                         constraint_gram_norm, hankel_spec, project_to_image,

@@ -8,11 +8,13 @@ over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
 improve the factors: a block of few unknowns on a small lift is solved
 exactly from its reduced normal matrix by one Cholesky factorization, any
 other block by a few steps of scipy's conjugate gradient.  Both apply the
-Hessian as the same sparse products with AC and B's Gram.  A thin-SVD
-re-balance keeps the surrogate on the nuclear norm.  No move raises the
-surrogate objective psi beyond rounding.
+Hessian as the same sparse products with AC and B's Gram.  No move raises
+the surrogate objective psi beyond rounding.
 
-Each accepted iterate, and the start, is evaluated once: the row, the next
+Each accepted iterate, and the start, settles through one thin SVD and one
+evaluation (``_settled``).  The SVD re-balances the factors (``compress``),
+which puts the surrogate on the nuclear norm, so a kept compress gives
+|X|_* as the surrogate and the row's phi equals its psi.  The row, the next
 ``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V).
 No product is taken with B itself, only with its Gram.
 
@@ -32,8 +34,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
 from .objective import (FactorPair, PenaltyProblem, _hess_vec, _iterate_terms,
-                        factor_nuclear_norm, factor_svd, grad_f, psi_value,
-                        smooth_terms_from, step_model)
+                        factor_svd, grad_f, psi_value, smooth_terms_from,
+                        step_model)
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
@@ -103,7 +105,10 @@ class GcgConfig(SolverConfig):
     it and by at most 10 steps of scipy's ``cg`` elsewhere, and stops below
     a 1e-4 relative improvement; the rank column counts values above 1e-3,
     recompression drops values at or below 1e-10, and a step that would
-    raise psi past rounding is always held.
+    raise psi past rounding is always held.  Each row takes one thin SVD of
+    the factors: the recompress, whose kept result makes phi equal psi, or
+    without it the singular values that give |X|_*; a rank column from
+    sigma(UV) takes one more.
     """
 
     local_search_max_steps: int = 5      # alternating sweeps per iteration
@@ -149,7 +154,8 @@ class SolveTrace:
         ``terms`` is ``(f, square loss, penalty)`` at the iterate, as
         ``smooth_terms`` returns them; phi = f + mu * nuclear.  ``row`` holds
         the other columns, psi defaults to phi.  A non-finite phi adds no row
-        and raises ``diverged``.
+        and raises ``diverged``.  GCG takes nuclear from the row's one thin
+        SVD, so a kept recompress makes phi equal psi.
         """
         f_smooth, sqloss, _ = terms
         phi = f_smooth + prob.mu * nuclear
@@ -244,17 +250,22 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
-def _recompressed(prob: PenaltyProblem, factors: FactorPair, psi):
-    # compress() unless psi rises past rounding; returns (factors, psi).
-    # Balanced factors sit on the nuclear norm already, where a drop of
-    # rank can go either way by rounding.
-    if factors.rank == 0 or not np.isfinite(psi):
-        return factors, psi
-    packed = compress(factors)
-    psi_packed = psi_value(prob, packed)
-    if psi_packed <= psi + PSI_SLACK:
-        return packed, psi_packed
-    return factors, psi
+def _settled(prob: PenaltyProblem, factors: FactorPair, psi, recompress):
+    # (factors, psi, terms, |X|_*) of the iterate that factors at a finite
+    # psi settle to: their compress() unless psi rises past rounding (balanced
+    # factors sit on the nuclear norm already, where a drop of rank can go
+    # either way by rounding), evaluated once by _iterate_terms.  A kept
+    # compress reads psi from those terms and |X|_* as its surrogate; else
+    # |X|_* is the sum of factor_svd's singular values.
+    if recompress:
+        packed = compress(factors)
+        terms = _iterate_terms(prob, packed)
+        nuclear = packed.surrogate()
+        psi_packed = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
+        if psi_packed <= psi + PSI_SLACK:
+            return packed, psi_packed, terms, nuclear
+    return (factors, psi, _iterate_terms(prob, factors),
+            float(factor_svd(factors)[1].sum()))
 
 
 def _block_normal(prob: PenaltyProblem, u, v, side):
@@ -423,13 +434,11 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     if factors.shape != (prob.rows, prob.cols):
         raise ValueError("initializer shape does not match the problem")
     psi_prev = psi_value(prob, factors)
-    if not np.isfinite(psi_prev):  # checked before phi: its SVD needs finite factors
+    if not np.isfinite(psi_prev):  # before the settle, whose SVD needs finite factors
         raise trace.diverged("non-finite objective at the initial point")
-    if config.recompress:
-        factors, psi_prev = _recompressed(prob, factors, psi_prev)
-    terms = _iterate_terms(prob, factors)
-    phi_prev = (smooth_terms_from(prob, *terms)[0]
-                + prob.mu * factor_nuclear_norm(factors))
+    factors, psi_prev, terms, nuclear = _settled(prob, factors, psi_prev,
+                                                 config.recompress)
+    phi_prev = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors, terms)
@@ -438,28 +447,26 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, psi_cand = local_search(prob, cand.U, cand.V,
                                       budget=config.local_search_max_steps)
-        if config.recompress:
-            cand, psi_cand = _recompressed(prob, cand, psi_cand)
-        if not np.isfinite(psi_cand):  # before the hold, which would keep psi_prev
+        if not np.isfinite(psi_cand):  # before the settle and the hold
             raise trace.diverged(f"non-finite objective at iteration {k}")
-        held = psi_cand > psi_prev + PSI_SLACK
+        settled = _settled(prob, cand, psi_cand, config.recompress)
+        held = settled[1] > psi_prev + PSI_SLACK
         if held:
-            # no move raises psi beyond rounding, so only rounding gets here
-            cand, psi_cand, theta = factors, psi_prev, 0.0
+            theta = 0.0  # only rounding gets here; the row repeats the last one
+        else:
+            dx = _frob_dist(settled[0], factors)
+            factors, psi_prev, terms, nuclear = settled
 
-        terms = _iterate_terms(prob, cand)  # (x, AC x - b, B^T B x)
         if config.track_structured_rank:
             rank = structured_rank(prob, terms[0])
         else:
-            rank = rank_estimate(factor_svd(cand)[1])
-        phi = trace.append(prob, smooth_terms_from(prob, *terms),
-                           factor_nuclear_norm(cand),
-                           psi=psi_cand, theta=theta, sigma_top=pair.sigma,
-                           rank=rank, factor_rank=cand.rank)
-        dx = _frob_dist(cand, factors)
+            rank = rank_estimate(factor_svd(factors)[1])
+        phi = trace.append(prob, smooth_terms_from(prob, *terms), nuclear,
+                           psi=psi_prev, theta=theta, sigma_top=pair.sigma,
+                           rank=rank, factor_rank=factors.rank)
         # a held step is not convergence, only zero motion
         reason = "" if held else config.stop_reason(dx, phi, phi_prev)
-        factors, psi_prev, phi_prev = cand, psi_cand, phi
+        phi_prev = phi
         if trace.stop(reason):
             break
 

@@ -206,22 +206,9 @@ def factor_svd(factors: FactorPair):
     return qu @ uc, s, vct @ qv.T
 
 
-def factor_nuclear_norm(factors: FactorPair):
-    if factors.rank == 0:
-        return 0.0
-    _, ru = np.linalg.qr(factors.U)
-    _, rv = np.linalg.qr(factors.V.T)
-    return float(np.linalg.svd(ru @ rv.T, compute_uv=False).sum())
-
-
 def psi_value(prob: PenaltyProblem, factors: FactorPair):
     """f(UV) plus mu times the variational surrogate; what local search descends."""
     return f_value(prob, vec(factors.product())) + prob.mu * factors.surrogate()
-
-
-def phi_value(prob: PenaltyProblem, factors: FactorPair):
-    """True objective f(UV) + mu * |UV|_* (nuclear norm via the factor SVD)."""
-    return f_value(prob, vec(factors.product())) + prob.mu * factor_nuclear_norm(factors)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ from dataclasses import replace
 from slrm import apps, gcg, objective
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
-                      _recompressed, compress, lam_stages, local_search,
+                      _settled, compress, lam_stages, local_search,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
 from slrm.linalg import SparseMatrix, spmv, spmv_t, top_singular_pair, unvec, vec
-from slrm.objective import (FactorPair, phi_value, psi_value, smooth_terms,
+from slrm.objective import (FactorPair, _iterate_terms, psi_value, smooth_terms,
                             step_model)
 
 from conftest import dense_smooth_terms, observed_problems, random_hankel_problem
@@ -214,9 +214,9 @@ def _desk_problem():
 
 
 def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
-    # The first _recompressed call packs the initializer; each later one
-    # returns an iteration's candidate psi, which a hold would reject for
-    # rising past the previous row's psi.  theta = 0 is no sign of a hold:
+    # The first _settled call packs the initializer; each later one returns
+    # an iteration's candidate psi, which a hold would reject for rising past
+    # the previous row's psi.  theta = 0 is no sign of a hold:
     # near sigma_top = mu it is the step model's own optimum.
     prob = _desk_problem()
     calls = []
@@ -227,12 +227,12 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
         return local_search(*args, **kwargs)
 
     def spied(*args, **kwargs):
-        out = _recompressed(*args, **kwargs)
+        out = _settled(*args, **kwargs)
         packed_psi.append(out[1])
         return out
 
     monkeypatch.setattr(gcg, "local_search", counted)
-    monkeypatch.setattr(gcg, "_recompressed", spied)
+    monkeypatch.setattr(gcg, "_settled", spied)
     for cfg in (GcgConfig(seed=7), GcgConfig(seed=7, max_iter=30, tol_obj=1e-300,
                                              tol_x=1e-300)):
         calls.clear()
@@ -248,12 +248,14 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 1.3])
 def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
-    # Outside local_search and _recompressed an iteration forms U V once and
+    # Outside local_search an iteration takes one QR pair, forms U V once and
     # makes 2 AC, 1 AC^T, 2 Gram and 1 C products: AC^T for the gradient, AC
-    # and the Gram on the atom for the step model, AC and the Gram on the
-    # accepted iterate, C for its rank.  Before the loop, psi at the
-    # initializer and the start's evaluation form U V and apply AC and the
-    # Gram once each.  No product anywhere in the solve is with B itself.
+    # and the Gram on the atom for the step model, the QR pair of the
+    # candidate's thin SVD, AC and the Gram on the accepted iterate, C for
+    # its rank.  Before the loop, psi at the initializer, then the start's
+    # QR pair and evaluation.  A zero iterate (factor rank 0, as on
+    # zeros_and_singletons) has no QR to take.  No product anywhere in the
+    # solve is with B.
     outside, inside, depth = [], [], [0]
 
     def log(kind, a):
@@ -263,35 +265,47 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
                              (gcg, "spmv", spmv)):
         monkeypatch.setattr(module, kind,
                             lambda a, x, kind=kind, fn=fn: log(kind, a) or fn(a, x))
-    product = FactorPair.product
+    product, qr = FactorPair.product, np.linalg.qr
     monkeypatch.setattr(FactorPair, "product", lambda self: log("UV", None) or product(self))
-    for nested in ("local_search", "_recompressed"):
-        def counted_inside(*args, _fn=getattr(gcg, nested), **kwargs):
-            depth[0] += 1
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        monkeypatch.setattr(gcg, nested, counted_inside)
+    monkeypatch.setattr(np.linalg, "qr", lambda a: log("QR", None) or qr(a))
+
+    def counted_inside(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return local_search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(gcg, "local_search", counted_inside)
     for name, prob in observed_problems(rng, lam):
         outside.clear()
         inside.clear()
         _, trace = solve(prob, GcgConfig(max_iter=6))
         ac, gram = prob.AC, prob.B.gram
         evaluation = [("UV", None), ("spmv", ac), ("spmv", gram)]
-        step = [("spmv_t", ac), ("spmv", ac), ("spmv", gram)] + evaluation + [("spmv", prob.C)]
-        want = 2 * evaluation + len(trace.records) * step
+        want = evaluation + 2 * [("QR", None)] + evaluation
+        for row in trace.records:
+            want += [("spmv_t", ac), ("spmv", ac), ("spmv", gram)]
+            want += 2 * [("QR", None)] * (row.factor_rank > 0) + evaluation
+            want += [("spmv", prob.C)]
         assert len(outside) == len(want), name
         assert all(k == wk and a is wa for (k, a), (wk, wa) in zip(outside, want)), name
         assert inside and not any(a is prob.B for _, a in outside + inside), name
+        assert ("QR", None) not in inside, name
 
 
-@pytest.mark.parametrize("lam", [0.0, 1.3])
-def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam):
+@pytest.mark.parametrize("lam, settings", [
+    pytest.param(lam, settings, id=f"{lam}{suffix}")
+    for suffix, settings in (("", {}), ("-unbalanced", dict(
+        recompress=False, track_structured_rank=False)))
+    for lam in (0.0, 1.3)])
+def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam, settings):
     # A solve is deterministic, so the one capped at k iterations returns
     # row k's iterate.  Its f, square loss and phi are formed from the dense
-    # AC and B and the nuclear norm of a full SVD.
-    config = dict(tol_x=1e-300, tol_obj=1e-300)
+    # AC and B and the nuclear norm of a full SVD.  Without the recompress
+    # (acceptance 12's settings) the factors are not balanced, and |X|_*
+    # comes from their thin SVD.
+    config = dict(tol_x=1e-300, tol_obj=1e-300, **settings)
     for name, prob in observed_problems(rng, lam):
         _, trace = solve(prob, GcgConfig(max_iter=8, **config))
         for row in trace.records:
@@ -302,6 +316,62 @@ def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam):
             np.testing.assert_allclose((row.f_smooth, row.square_loss, row.phi),
                                        (f, sq, phi), rtol=1e-12, atol=0,
                                        err_msg=f"{name}, row {row.iteration}")
+
+
+def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
+    # From the third call on the local search returns its result scaled by
+    # sqrt(10) with that point's psi, which rises: every later step is held.
+    # A held row repeats the previous iterate, its evaluation and its
+    # |X|_*, with theta 0, and the solve returns that iterate.  A zero
+    # iterate (zeros_and_singletons) scales to itself: it is not held but
+    # stops on tol_x, its step being exactly 0.
+    calls = []
+
+    def inflated(p, u, v, budget):
+        calls.append(1)
+        out, psi = local_search(p, u, v, budget)
+        if len(calls) < 3:
+            return out, psi
+        out = out.scaled(np.sqrt(10.0))
+        return out, psi_value(p, out)
+
+    monkeypatch.setattr(gcg, "local_search", inflated)
+    config = dict(tol_x=1e-300, tol_obj=1e-300)
+    held = 0
+    for name, prob in observed_problems(rng, 1.3):
+        calls.clear()
+        fac, trace = solve(prob, GcgConfig(max_iter=5, **config))
+        calls.clear()
+        fac_2, _ = solve(prob, GcgConfig(max_iter=2, **config))
+        second = trace.records[1]
+        if second.factor_rank == 0:
+            assert trace.converged_reason == "tol_x" and len(trace.records) == 2, name
+            continue
+        held += 1
+        assert len(trace.records) == 5, name
+        for row in trace.records[2:]:
+            assert row.theta == 0.0, (name, row.iteration)
+            for col in ("phi", "f_smooth", "square_loss", "psi", "rank", "factor_rank"):
+                assert getattr(row, col) == getattr(second, col), (name, row.iteration, col)
+        np.testing.assert_array_equal(fac.product(), fac_2.product(), err_msg=name)
+    assert held == 5
+
+
+def test_a_rejected_or_skipped_compress_keeps_the_factors(rng):
+    # Unbalanced factors settle to themselves when their compress would raise
+    # psi past rounding, and without the recompress: the same object, its
+    # own evaluation, and |X|_* from the thin SVD rather than the surrogate.
+    prob = random_hankel_problem(rng, j=4, k=5, lam=0.9, mu=0.3)
+    fac = FactorPair(rng.standard_normal((4, 3)), 3.0 * rng.standard_normal((3, 5)))
+    nuclear = np.linalg.svd(fac.product(), compute_uv=False).sum()
+    assert fac.surrogate() > 1.1 * nuclear
+    below_packed = psi_value(prob, compress(fac)) - 1e-9
+    for psi, recompress in ((below_packed, True), (psi_value(prob, fac), False)):
+        out, psi_out, terms, got = _settled(prob, fac, psi, recompress)
+        assert out is fac and psi_out == psi, recompress
+        for part, want in zip(terms, _iterate_terms(prob, fac), strict=True):
+            np.testing.assert_array_equal(part, want)
+        assert abs(got - nuclear) <= 1e-12 * nuclear, recompress
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
@@ -375,7 +445,8 @@ def test_solve_psi_column_is_monotone(rng):
 def test_solve_reduces_phi_from_the_start(rng):
     prob = random_hankel_problem(rng, j=5, k=5, mu=0.3)
     init = FactorPair.ones(5, 5)
-    phi0 = phi_value(prob, init)
+    f0, _, _ = dense_smooth_terms(prob, vec(init.product()))
+    phi0 = f0 + prob.mu * np.linalg.svd(init.product(), compute_uv=False).sum()
     fac, trace = solve(prob, GcgConfig(max_iter=20, seed=0), init=init)
     assert trace.records[-1].phi < phi0
     assert trace.converged_reason in {"tol_x", "tol_obj", "max_iter"}
