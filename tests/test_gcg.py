@@ -11,8 +11,8 @@ from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
 from slrm.linalg import SparseMatrix, spmv, spmv_t, top_singular_pair, unvec, vec
-from slrm.objective import (FactorPair, _iterate_terms, psi_value, smooth_terms,
-                            step_model)
+from slrm.objective import (FactorPair, _iterate_terms, factor_svd, psi_value,
+                            smooth_terms, step_model)
 
 from conftest import dense_smooth_terms, observed_problems, random_hankel_problem
 
@@ -265,9 +265,9 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
                              (gcg, "spmv", spmv)):
         monkeypatch.setattr(module, kind,
                             lambda a, x, kind=kind, fn=fn: log(kind, a) or fn(a, x))
-    product, qr = FactorPair.product, np.linalg.qr
+    product, qr = FactorPair.product, objective._thin_qr
     monkeypatch.setattr(FactorPair, "product", lambda self: log("UV", None) or product(self))
-    monkeypatch.setattr(np.linalg, "qr", lambda a: log("QR", None) or qr(a))
+    monkeypatch.setattr(objective, "_thin_qr", lambda a: log("QR", None) or qr(a))
 
     def counted_inside(*args, **kwargs):
         depth[0] += 1
@@ -318,6 +318,19 @@ def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam, settings)
                                        err_msg=f"{name}, row {row.iteration}")
 
 
+def _inflated_from_the_third_call(calls):
+    # local_search, but from its third call (counted in calls) on it returns
+    # its result scaled by sqrt(10) with that point's psi, which rises
+    def inflated(p, u, v, budget):
+        calls.append(1)
+        out, psi = local_search(p, u, v, budget)
+        if len(calls) < 3:
+            return out, psi
+        out = out.scaled(np.sqrt(10.0))
+        return out, psi_value(p, out)
+    return inflated
+
+
 def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
     # From the third call on the local search returns its result scaled by
     # sqrt(10) with that point's psi, which rises: every later step is held.
@@ -326,16 +339,7 @@ def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
     # iterate (zeros_and_singletons) scales to itself: it is not held but
     # stops on tol_x, its step being exactly 0.
     calls = []
-
-    def inflated(p, u, v, budget):
-        calls.append(1)
-        out, psi = local_search(p, u, v, budget)
-        if len(calls) < 3:
-            return out, psi
-        out = out.scaled(np.sqrt(10.0))
-        return out, psi_value(p, out)
-
-    monkeypatch.setattr(gcg, "local_search", inflated)
+    monkeypatch.setattr(gcg, "local_search", _inflated_from_the_third_call(calls))
     config = dict(tol_x=1e-300, tol_obj=1e-300)
     held = 0
     for name, prob in observed_problems(rng, 1.3):
@@ -357,6 +361,40 @@ def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
     assert held == 5
 
 
+def test_unbalanced_rows_read_their_rank_from_the_settles_svd(rng, monkeypatch):
+    # Without the recompress and the structured rank (acceptance 12's
+    # settings) each settle takes one thin SVD, a QR pair unless the iterate
+    # is zero, and the row's rank column reads its singular values: no
+    # second SVD.  The inflated local search holds rows 3-5 (as in the test
+    # above), which read the singular values of row 2's iterate, not of their
+    # candidate.
+    svd_ranks, qrs, sigmas, calls = [], [], [], []
+    svd, qr, estimate = gcg.factor_svd, objective._thin_qr, gcg.rank_estimate
+    monkeypatch.setattr(gcg, "factor_svd", lambda f: svd_ranks.append(f.rank) or svd(f))
+    monkeypatch.setattr(objective, "_thin_qr", lambda a: qrs.append(1) or qr(a))
+    monkeypatch.setattr(gcg, "rank_estimate", lambda s: sigmas.append(s) or estimate(s))
+    monkeypatch.setattr(gcg, "local_search", _inflated_from_the_third_call(calls))
+    config = GcgConfig(max_iter=5, tol_x=1e-300, tol_obj=1e-300, recompress=False,
+                       track_structured_rank=False)
+    held = 0
+    for name, prob in observed_problems(rng, 1.3):
+        svd_ranks.clear()
+        qrs.clear()
+        sigmas.clear()
+        calls.clear()
+        _, trace = solve(prob, config)
+        rows = trace.records
+        assert len(svd_ranks) == len(rows) + 1 and len(sigmas) == len(rows), name
+        assert len(qrs) == 2 * sum(r > 0 for r in svd_ranks), name
+        assert [row.rank for row in rows] == [estimate(s) for s in sigmas], name
+        if rows[1].factor_rank == 0:  # a zero iterate is not held (see above)
+            continue
+        held += 1
+        assert len(rows) == 5 and all(row.theta == 0.0 for row in rows[2:]), name
+        assert all(s is sigmas[1] for s in sigmas[2:]), name
+    assert held == 5
+
+
 def test_a_rejected_or_skipped_compress_keeps_the_factors(rng):
     # Unbalanced factors settle to themselves when their compress would raise
     # psi past rounding, and without the recompress: the same object, its
@@ -367,11 +405,15 @@ def test_a_rejected_or_skipped_compress_keeps_the_factors(rng):
     assert fac.surrogate() > 1.1 * nuclear
     below_packed = psi_value(prob, compress(fac)) - 1e-9
     for psi, recompress in ((below_packed, True), (psi_value(prob, fac), False)):
-        out, psi_out, terms, got = _settled(prob, fac, psi, recompress)
+        out, psi_out, terms, got, sigma = _settled(prob, fac, psi, recompress)
         assert out is fac and psi_out == psi, recompress
         for part, want in zip(terms, _iterate_terms(prob, fac), strict=True):
             np.testing.assert_array_equal(part, want)
         assert abs(got - nuclear) <= 1e-12 * nuclear, recompress
+        np.testing.assert_array_equal(sigma, factor_svd(fac)[1])
+        assert got == float(sigma.sum()), recompress
+    packed, *_, sigma = _settled(prob, fac, psi_value(prob, fac), True)
+    assert packed is not fac and sigma is None  # a kept compress: its SVD was of fac
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):

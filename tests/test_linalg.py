@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from slrm import apps, gcg
-from slrm.linalg import (SparseMatrix, _short_side, short_side_svd,
-                         singular_values, spmv, spmv_t, top_singular_pair,
-                         unvec, vec)
+from slrm import apps, gcg, linalg
+from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, SparseMatrix, _short_side, _svd,
+                         _thin_qr, short_side_svd, singular_values, spmv, spmv_t,
+                         top_singular_pair, unvec, vec)
+from slrm.objective import FactorPair, factor_svd
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
 from conftest import spectral_test_matrices
@@ -324,3 +326,135 @@ def test_top_singular_pair_atom_matches_dense_svd_on_solver_gradients(monkeypatc
         assert abs(res.sigma - s[0]) <= 1e-12 * s[0]
         gap = np.linalg.norm(np.outer(res.u, res.v) - np.outer(u[:, 0], vt[0]))
         assert gap <= 1e-12
+
+
+# The LAPACK kernels against the numpy and scipy wrappers they replace, on
+# the same inputs.  They make the wrappers' LAPACK calls with the same
+# workspace and return the same memory order, so every result is pinned bit
+# for bit.  Inputs above DIRECT_LAPACK_MAX_ENTRIES take numpy's wrapper
+# itself; those cases include LAPACK's blocked paths (a dimension above
+# 128), where a smaller workspace would change the bits.
+
+def _wrapped_factor_svd(factors):
+    qu, ru = np.linalg.qr(factors.U)
+    qv, rv = np.linalg.qr(factors.V.T)
+    uc, s, vct = np.linalg.svd(ru @ rv.T, full_matrices=False)
+    return qu @ uc, s, vct @ qv.T
+
+
+def _wrapped_top_pair(a):
+    s, scale, left = _short_side(a, "test")
+    k = s.shape[0]
+    w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
+    x = s.T @ w
+    norm = float(np.linalg.norm(x))
+    x = np.eye(1, s.shape[1])[0] if norm == 0.0 else x / norm
+    return scale * norm, *((w, x) if left else (x, w))
+
+
+def _assert_same_arrays(got, want, name):
+    assert len(got) == len(want), name
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.flags.c_contiguous == w.flags.c_contiguous, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+def _factor_cases(rng):
+    # (U, V) by name: U is rows x rank, V rank x cols
+    def pair(m, r, n):
+        return rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    return {
+        "desk": pair(12, 4, 16),
+        "tall": pair(16, 4, 12),
+        "rank_above_rows": pair(5, 9, 7),
+        "rank_above_both": pair(3, 11, 4),
+        "rank_one": pair(12, 1, 16),
+        "zero": (np.zeros((12, 3)), np.zeros((3, 16))),
+        "at_the_bound": pair(32, 32, 32),  # every input 1,024 entries
+        "one_column_long": pair(1024, 1, 3),
+        "core_40": pair(36, 40, 676),  # scs-31 past its 36 rows
+        "core_130": pair(130, 130, 140),  # blocked QR and bidiagonalization
+    }
+
+
+def test_thin_qr_is_numpys_qr(rng):
+    cases = {name: u for name, (u, v) in _factor_cases(rng).items()}
+    cases.update({f"{name}_wide": v for name, (u, v) in _factor_cases(rng).items()})
+    cases["fortran_view"] = rng.standard_normal((16, 4)).T
+    for name, a in cases.items():
+        before = a.copy()
+        _assert_same_arrays(_thin_qr(a), np.linalg.qr(a), name)
+        np.testing.assert_array_equal(a, before, err_msg=name)
+
+
+def test_svd_kernel_is_numpys_svd(rng):
+    for name, (u, v) in _factor_cases(rng).items():
+        for a in (u, v, u @ v):
+            before = a.copy()
+            _assert_same_arrays(_svd(a), np.linalg.svd(a, full_matrices=False), name)
+            _assert_same_arrays([_svd(a, compute_uv=False)],
+                                [np.linalg.svd(a, compute_uv=False)], name)
+            np.testing.assert_array_equal(a, before, err_msg=name)
+
+
+def test_lapack_is_called_directly_up_to_the_bound(rng, monkeypatch):
+    # numpy's wrapper above it, whose LAPACK is numpy's own OpenBLAS
+    calls = []
+    for name in ("dgeqrf", "dgesdd"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    for shape in ((1024, 1), (32, 32), (4, 256)):
+        for extra in (0, 1):
+            a = rng.standard_normal((shape[0] + extra, shape[1]))
+            direct = a.size <= DIRECT_LAPACK_MAX_ENTRIES
+            calls.clear()
+            _thin_qr(a)
+            assert calls == ["dgeqrf"] * direct, a.shape
+            calls.clear()
+            _svd(a)
+            _svd(a, compute_uv=False)
+            assert calls == ["dgesdd"] * (2 * direct), a.shape
+
+
+def test_factor_svd_is_the_wrapped_thin_svd(rng):
+    for name, (u, v) in _factor_cases(rng).items():
+        factors = FactorPair(u, v)
+        _assert_same_arrays(factor_svd(factors), _wrapped_factor_svd(factors), name)
+    # rank 0 takes no QR: test_objective's test_factor_svd_matches_dense
+
+
+def _spectral_cases(rng):
+    cases = dict(spectral_test_matrices(rng))
+    cases.update({
+        "desk": rng.standard_normal((12, 16)),
+        "desk_tall": rng.standard_normal((16, 12)),
+        "scs_31": rng.standard_normal((36, 676)),
+        "under_4096": rng.standard_normal((63, 65)),
+        "core_130": rng.standard_normal((130, 140)),
+    })
+    # peaks outside 2^-100 .. 2^101, which _short_side rescales
+    for e in (-300, -120, 120, 300):
+        cases[f"peak_2^{e}"] = np.ldexp(rng.standard_normal((9, 13)), e)
+    return cases
+
+
+def test_singular_values_are_the_wrapped_svd(rng):
+    # below 4,096 entries; above, singular_values takes the Gram route
+    checked = 0
+    for name, a in _spectral_cases(rng).items():
+        s, scale, _ = _short_side(a, "test")
+        if s.size < 4096:
+            want = scale * np.sort(np.linalg.svd(s, compute_uv=False))[::-1]
+            np.testing.assert_array_equal(singular_values(a), want, err_msg=name)
+            checked += 1
+    assert checked >= 10
+
+
+def test_top_singular_pair_is_the_wrapped_subset_eigh(rng):
+    for name, a in _spectral_cases(rng).items():
+        res = top_singular_pair(a)
+        sigma, u, v = _wrapped_top_pair(a)
+        assert res.sigma == sigma and res.degenerate == (sigma == 0.0), name
+        np.testing.assert_array_equal(res.u, u, err_msg=name)
+        np.testing.assert_array_equal(res.v, v, err_msg=name)
