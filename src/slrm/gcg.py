@@ -5,18 +5,20 @@ pair of the negated gradient as the new rank-one atom.  One exact step then
 picks the shrink a of the current factors and the weight theta of the atom
 together: psi is a convex quadratic in (a, theta), minimized in closed form
 over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
-improve the factors: a block of few unknowns on a small lift is solved
-exactly from its reduced normal matrix by one Cholesky factorization, any
-other block by a few steps of scipy's conjugate gradient.  Both apply the
-Hessian as the same sparse products with AC and B's Gram.  No move raises
-the surrogate objective psi beyond rounding.
+improve the factors, one ``_block_step`` per factor: a block of few
+unknowns on a small lift is solved exactly from its reduced normal matrix
+by one Cholesky factorization, any other block by a few steps of scipy's
+conjugate gradient.  Both apply the Hessian as the same sparse products
+with AC and B's Gram.  No move raises the surrogate objective psi beyond
+rounding.
 
 Each accepted iterate, and the start, settles through one thin SVD and one
 evaluation (``_settled``).  The SVD re-balances the factors (``compress``),
 which puts the surrogate on the nuclear norm, so a kept compress gives
 |X|_* as the surrogate and the row's phi equals its psi.  The row, the next
-``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V).
-No product is taken with B itself, only with its Gram.
+``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V),
+and the tol_x step is |x_k - x_{k-1}|.  No product is taken with B
+itself, only with its Gram.
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
@@ -341,20 +343,37 @@ def _block_cg(apply_mat, rhs, x0, max_iter=BLOCK_CG_MAX_ITER):
     return x.reshape(shape)
 
 
+def _block_step(prob: PenaltyProblem, u, v, side):
+    """The block of U (side "u") or V that minimizes psi with the other held.
+
+    psi is a strongly convex quadratic in the block.  ``lift`` is P, the map
+    from the block into U V, and ``fold`` is P^T.  A small block
+    (``_exact_block``) is solved from K = P^T H P + mu I (``_block_normal``)
+    by one Cholesky factorization; any other by at most 10 steps of scipy's
+    ``cg`` (``_block_cg``) warm started at the block, stopping once
+    ``|r| <= 1e-5 max(1, |rhs|)``.  Neither input is modified.
+    """
+    if side == "u":
+        block, lift, fold = u, (lambda b: b @ v), (lambda w: w @ v.T)
+    else:
+        block, lift, fold = v, (lambda b: u @ b), (lambda w: u.T @ w)
+    rhs = fold(prob.adjoint_target)
+    if _exact_block(prob, block.size):
+        return _cholesky_solve(_block_normal(prob, u, v, side), rhs, block)
+    m, n = prob.rows, prob.cols
+    return _block_cg(lambda b: fold(unvec(_hess_vec(prob, vec(lift(b))), m, n))
+                     + prob.mu * b, rhs, block)
+
+
 def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
     """Alternating ridge solves on U and V; returns (factors, psi).
 
-    With one factor held fixed psi is a strongly convex quadratic in the
-    other.  A small block (``_exact_block``) is minimized exactly through
-    its reduced normal matrix (``_block_normal``) and one Cholesky solve,
-    unless its gradient already vanishes.  Any other block takes scipy's
-    ``cg`` warm started at the block (``_block_cg``): at most 10 steps,
-    stopping once ``|r| <= 1e-5 max(1, |rhs|)``.  Started there, every CG
-    step lowers the block quadratic, so stopping early keeps descent.
-    Never returns a point with psi above the initializer beyond rounding;
-    stops on the sweep budget or a relative improvement below rel_floor.
-    psi is evaluated at the start and once per sweep, after the V block;
-    the one returned is that of the returned factors.
+    Each sweep takes one ``_block_step`` on U, one on V with the new U, and
+    one psi.  Every CG step started at the block lowers its quadratic, so a
+    CG block that stops early still descends.  Never returns a point with
+    psi above the initializer beyond rounding; stops on the sweep budget or
+    a relative improvement below rel_floor.  The psi returned is that of
+    the returned factors.
     """
     u = np.array(u_init, dtype=float, copy=True)
     v = np.array(v_init, dtype=float, copy=True)
@@ -362,36 +381,10 @@ def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
     psi_cur = psi_value(prob, factors)
     if budget <= 0 or factors.rank == 0:
         return factors, psi_cur
-    m, n = factors.shape
-    rhs_full = prob.adjoint_target  # mat(AC^T b)
-    gtol2 = (1e-10 * max(1.0, abs(psi_cur))) ** 2
-
     for _ in range(budget):
         psi_sweep = psi_cur
-        for side in ("u", "v"):
-            if side == "u":
-                def apply_mat(ub, _v=v):
-                    w = _hess_vec(prob, vec(ub @ _v))
-                    return unvec(w, m, n) @ _v.T + prob.mu * ub
-
-                block, rhs = u, rhs_full @ v.T
-            else:
-                def apply_mat(vb, _u=u):
-                    w = _hess_vec(prob, vec(_u @ vb))
-                    return _u.T @ unvec(w, m, n) + prob.mu * vb
-
-                block, rhs = v, u.T @ rhs_full
-            if _exact_block(prob, block.size):
-                k = _block_normal(prob, u, v, side)
-                res = rhs - unvec(k @ vec(block), *block.shape)
-                if float(np.vdot(res, res)) > gtol2:
-                    block = _cholesky_solve(k, rhs, block)
-            else:
-                block = _block_cg(apply_mat, rhs, block)
-            if side == "u":
-                u = block
-            else:
-                v = block
+        u = _block_step(prob, u, v, "u")
+        v = _block_step(prob, u, v, "v")
         psi_cur = psi_value(prob, FactorPair(u, v))
         if psi_sweep - psi_cur <= rel_floor * max(1e-30, abs(psi_cur)):
             break
@@ -411,14 +404,6 @@ def _augment(shrunk: FactorPair, z_u, z_v, theta):
             u = u[:, ~dead]
             v = v[~dead, :]
     return FactorPair(u, v)
-
-
-def _frob_dist(a: FactorPair, b: FactorPair):
-    # |UaVa - UbVb|_F via r x r Gram products
-    taa = float(np.sum((a.U.T @ a.U) * (a.V @ a.V.T)))
-    tbb = float(np.sum((b.U.T @ b.U) * (b.V @ b.V.T)))
-    tab = float(np.sum((a.U.T @ b.U) * (a.V @ b.V.T)))
-    return float(np.sqrt(max(0.0, taa + tbb - 2.0 * tab)))
 
 
 def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
@@ -456,7 +441,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         if held:
             theta = 0.0  # only rounding gets here; the row repeats the last one
         else:
-            dx = _frob_dist(settled[0], factors)
+            dx = np.linalg.norm(settled[2][0] - terms[0])  # |X_k - X_{k-1}|_F
             factors, psi_prev, terms, nuclear, sigma = settled
 
         if config.track_structured_rank:

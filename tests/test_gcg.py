@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from slrm import apps, gcg, objective
 from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
-                      SolveTrace, TraceRecord, _augment, _block_cg, _frob_dist,
+                      SolveTrace, TraceRecord, _augment, _block_cg,
                       _settled, compress, lam_stages, local_search,
                       rank_estimate, recover_y, solve, solve_homotopy,
                       structured_rank)
@@ -70,18 +70,17 @@ def test_compress_preserves_product(rng):
 
 
 def test_local_search_descends_psi(rng, monkeypatch):
-    # psi after every block the exact solve (4 x 5 lift) or CG (46 x 45)
-    # returns, spied on, never rises; the search returns its last value
+    # psi after every block that _block_step returns, spied on, never rises,
+    # whether solved exactly (4 x 5 lift) or by CG (46 x 45); the search
+    # returns its last value
     blocks = []
+    block_step = gcg._block_step
 
-    def spy(fn):
-        def spied(*args, **kwargs):
-            blocks.append(fn(*args, **kwargs))
-            return blocks[-1]
-        monkeypatch.setattr(gcg, fn.__name__, spied)
+    def spied(*args):
+        blocks.append(block_step(*args))
+        return blocks[-1]
 
-    spy(gcg._cholesky_solve)
-    spy(gcg._block_cg)
+    monkeypatch.setattr(gcg, "_block_step", spied)
     for j, k, r in ((4, 5, 2), (46, 45, 1)):
         prob = random_hankel_problem(rng, j=j, k=k, lam=2.0, mu=0.4)
         u = rng.standard_normal((j, r))
@@ -129,6 +128,17 @@ def test_local_search_stops_at_the_improvement_floor(rng):
     deeper, _ = local_search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
     assert psi_value(prob, deep) - psi_value(prob, deeper) <= 1e-9 * (
         1 + abs(psi_value(prob, deep)))
+    # psi stops falling while the factors are still about sqrt(eps) from
+    # block stationarity; every call sweeps at least once, so single sweeps
+    # go on to it.  There each exact block solve returns its own block up to
+    # rounding: psi does not rise and the factors barely move.
+    for _ in range(200):
+        deep, _ = local_search(prob, deep.U, deep.V, budget=1)
+    still, psi = local_search(prob, deep.U, deep.V, budget=30)
+    psi_deep = psi_value(prob, deep)
+    assert psi - psi_deep <= 1e-12 * max(1.0, abs(psi_deep))
+    for got, was in ((still.U, deep.U), (still.V, deep.V)):
+        np.testing.assert_allclose(got, was, rtol=0, atol=1e-12 * np.abs(was).max())
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 8])
@@ -460,11 +470,42 @@ def test_factor_rank_stays_within_the_short_side(rng):
     assert trace.column("factor_rank").max() <= 3
 
 
-def test_frob_dist_matches_dense(rng):
-    a = FactorPair(rng.standard_normal((5, 2)), rng.standard_normal((2, 6)))
-    b = FactorPair(rng.standard_normal((5, 3)), rng.standard_normal((3, 6)))
-    want = np.linalg.norm(a.product() - b.product())
-    assert _frob_dist(a, b) == pytest.approx(want, rel=1e-10)
+def test_the_tol_x_step_is_the_distance_of_consecutive_iterates(rng, monkeypatch):
+    # stop_reason receives dx = |X_k - X_{k-1}|_F of consecutive accepted
+    # iterates.  They are the start and the candidates _settled returns that
+    # do not raise psi past rounding (a hold makes no stop test).
+    settles, steps = [], []
+    settled, stop_reason = gcg._settled, GcgConfig.stop_reason
+    monkeypatch.setattr(gcg, "_settled",
+                        lambda *args: settles.append(settled(*args)) or settles[-1])
+    monkeypatch.setattr(GcgConfig, "stop_reason",
+                        lambda cfg, dx, *args: steps.append(dx) or stop_reason(cfg, dx, *args))
+    for name, prob in observed_problems(rng, 1.3):
+        settles.clear()
+        steps.clear()
+        solve(prob, GcgConfig(max_iter=8, tol_x=1e-300, tol_obj=1e-300))
+        accepted = [settles[0]]
+        for cand in settles[1:]:
+            if cand[1] <= accepted[-1][1] + PSI_SLACK:
+                accepted.append(cand)
+        want = [np.linalg.norm(b[0].product() - a[0].product())
+                for a, b in zip(accepted, accepted[1:])]
+        assert len(steps) == len(want) > 0, name
+        np.testing.assert_allclose(steps, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_stopping_off_ends_no_stage_on_tol_x():
+    # Acceptance 09's desk run with stopping off, stage by stage.  A step
+    # formed from factor Gram products cancels to 0 below about sqrt(eps)
+    # |X|, which would end the lam = 1 and lam = 10 stages on tol_x.
+    prob = _desk_problem()
+    cfg = GcgConfig(max_iter=60, tol_x=1e-300, tol_obj=1e-300)
+    factors, reasons = None, []
+    for lam in lam_stages(prob.lam, cfg.lam_growth, cfg.lam_max):
+        factors, trace = solve(replace(prob, lam=lam), cfg, init=factors)
+        reasons.append((lam, trace.converged_reason, len(trace.records)))
+    assert len(reasons) == 3
+    assert all(reason != "tol_x" for _, reason, _ in reasons), reasons
 
 
 def test_solve_is_deterministic(rng):
