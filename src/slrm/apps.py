@@ -1,5 +1,5 @@
 """Experiment harnesses: stochastic system realization and spectral
-compressed sensing.
+compressed sensing.  This module generates and assembles; ``cli`` writes.
 
 Both reduce to the same penalized recovery problem: pick a structure,
 an observation map over its parameters, and a target vector.  Random
@@ -9,7 +9,6 @@ adding a draw in one place never shifts the others.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -228,33 +227,4 @@ def scs_problem(cfg: ScsConfig, data: ScsData, mu, lam=1.0) -> PenaltyProblem:
     target = vec(data.observed)[data.omega]
     return assemble(spec, _selection_matrix(data.omega, spec.n_params), target,
                     lam, mu)
-
-
-def save_ssr_data(path, data: SsrData):
-    """Covariance blocks as CSV rows (block, row, col, value, observed)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "row", "col", "value", "observed"])
-        n_blocks, n, _ = data.v.shape
-        for t in range(n_blocks):
-            for rr in range(n):
-                for cc in range(n):
-                    writer.writerow([t, rr, cc, repr(float(data.v[t, rr, cc])),
-                                     int(data.w[t])])
-
-
-def save_scs_data(path, data: ScsData):
-    """Signal grid as CSV rows (row, col, value, observed, observed_value)."""
-    n1, n2 = data.signal.shape
-    mask = np.zeros(n1 * n2, dtype=bool)
-    mask[data.omega] = True
-    mask = mask.reshape((n1, n2), order="F")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value", "observed", "observed_value"])
-        for rr in range(n1):
-            for cc in range(n2):
-                writer.writerow([rr, cc, repr(float(data.signal[rr, cc])),
-                                 int(mask[rr, cc]),
-                                 repr(float(data.observed[rr, cc]))])
 

@@ -5,6 +5,10 @@ only.  Each key=value line of a --config file, given before or after the
 command, reads as the flag --key=value placed before the command line's
 own flags, so explicit flags win.  Exit codes: 0 success, 1 solver
 divergence (the partial trace is still written), 2 usage errors.
+
+This module writes every file of a run: the data file, trace.csv (one
+column per ``TraceRecord`` field), summary.json and scs's recovered.csv,
+each CSV through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -13,15 +17,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import apps
 from .baseline import ApgConfig, solve_apg_homotopy
-from .gcg import DivergedError, GcgConfig, SolveTrace, solve_homotopy
+from .gcg import DivergedError, GcgConfig, SolveTrace, TraceRecord, solve_homotopy
 from .linalg import spmv, unvec, vec
 
 SOLVERS = ("gcg", "gcgls", "apg-svt")
+# trace.csv's short names of TraceRecord fields; the others keep their own
+_TRACE_NAMES = {"iteration": "iter", "f_smooth": "f", "square_loss": "sqloss"}
 
 
 def _add_run_flags(p):
@@ -132,8 +139,48 @@ def _usage_error(message):
     return 2
 
 
+def _write_csv(path, columns):
+    """Write a header of the column names, then one row per entry.
+
+    ``columns`` maps names to 1-D arrays of one length.  A cell is the
+    ``repr`` of the entry's Python value, so int columns print as ints and
+    float columns round-trip exactly.  Every line ends in "\\n".
+    """
+    rows = zip(*(map(repr, col.tolist()) for col in columns.values()))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _indexed(a, *names):
+    """Columns of array a: one per axis, named by names, then "value"."""
+    index = np.indices(a.shape).reshape(a.ndim, -1)
+    return {**dict(zip(names, index)), "value": a.ravel()}
+
+
+def _write_trace(path, trace: SolveTrace):
+    """One trace.csv column per TraceRecord field, int where its type reads "int"."""
+    _write_csv(path, {_TRACE_NAMES.get(f.name, f.name):
+                      trace.column(f.name).astype(int if f.type == "int" else float)
+                      for f in fields(TraceRecord)})
+
+
+def save_ssr_data(path, data: apps.SsrData):
+    """Covariance blocks as CSV rows (block, row, col, value, observed)."""
+    columns = _indexed(data.v, "block", "row", "col")
+    _write_csv(path, {**columns, "observed": data.w.astype(int)[columns["block"]]})
+
+
+def save_scs_data(path, data: apps.ScsData):
+    """Signal grid as CSV rows (row, col, value, observed, observed_value)."""
+    columns = _indexed(data.signal, "row", "col")
+    at = columns["row"] + data.signal.shape[0] * columns["col"]  # omega's order
+    _write_csv(path, {**columns, "observed": np.isin(at, data.omega).astype(int),
+                      "observed_value": data.observed.ravel()})
+
+
 def _write_run_outputs(out_dir, trace: SolveTrace, args, extra=None):
-    trace.write_csv(os.path.join(out_dir, "trace.csv"))
+    _write_trace(os.path.join(out_dir, "trace.csv"), trace)
     summary = trace.summary(args.solver, args.seed)
     summary.update(extra or {})
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -177,7 +224,7 @@ def run_ssr(args):
     cfg = apps.SsrConfig(n=args.n, r=args.r, j=args.j, k=args.k, T=args.T,
                          sigma=args.sigma, seed=args.seed)
     return _run_app(args, cfg, apps.ssr_generate, apps.ssr_problem,
-                    apps.save_ssr_data, "covariances.csv")
+                    save_ssr_data, "covariances.csv")
 
 
 def run_scs(args):
@@ -187,16 +234,12 @@ def run_scs(args):
 
     def write_grid(prob, data, x, out_dir):
         grid = unvec(spmv(prob.C, vec(x)), cfg.n1, cfg.n2)
-        with open(os.path.join(out_dir, "recovered.csv"), "w") as fh:
-            fh.write("row,col,value\n")
-            for rr in range(cfg.n1):
-                for cc in range(cfg.n2):
-                    fh.write(f"{rr},{cc},{float(grid[rr, cc])!r}\n")
+        _write_csv(os.path.join(out_dir, "recovered.csv"), _indexed(grid, "row", "col"))
         err = np.linalg.norm(grid - data.signal) / np.linalg.norm(data.signal)
         return {"normalized_error": float(err)}
 
     return _run_app(args, cfg, apps.scs_generate, apps.scs_problem,
-                    apps.save_scs_data, "signal.csv", write_grid)
+                    save_scs_data, "signal.csv", write_grid)
 
 
 def main(argv=None):

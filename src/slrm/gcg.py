@@ -4,13 +4,13 @@ Each iteration linearizes the smooth part and takes the leading singular
 pair of the negated gradient as the new rank-one atom.  One exact step then
 picks the shrink a of the current factors and the weight theta of the atom
 together: psi is a convex quadratic in (a, theta), minimized in closed form
-over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves
-improve the factors, one ``_block_step`` per factor: a block of few
-unknowns on a small lift is solved exactly from its reduced normal matrix
-by one Cholesky factorization, any other block by a few steps of scipy's
-conjugate gradient.  Both apply the Hessian as the same sparse products
-with AC and B's Gram.  No move raises the surrogate objective psi beyond
-rounding.
+over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves,
+started from the psi that step returns, improve the factors, one
+``_block_step`` per factor: a block of few unknowns on a small lift is
+solved exactly from its reduced normal matrix by one Cholesky
+factorization, any other block by a few steps of scipy's conjugate
+gradient.  Both apply the Hessian as the same sparse products with AC and
+B's Gram.  No move raises the surrogate objective psi beyond rounding.
 
 Each accepted iterate, and the start, settles through one thin SVD and one
 evaluation (``_settled``).  The SVD re-balances the factors (``compress``),
@@ -22,7 +22,7 @@ itself, only with its Gram.
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
-``structured_rank``.
+``structured_rank``; ``cli`` writes the rows to trace.csv.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ PSI_SLACK = 1e-12
 # prob.size * d, the entries of its columns of vec(U V), is at most this.
 EXACT_BLOCK_MAX_ENTRIES = 24_000
 BLOCK_CG_MAX_ITER = 10
-CSV_HEADER = "iter,time_s,phi,f,sqloss,psi,theta,sigma_top,rank,factor_rank"
 
 
 class DivergedError(RuntimeError):
@@ -189,34 +188,13 @@ class SolveTrace:
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
 
-    def to_csv(self):
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(",".join([
-                str(r.iteration),
-                repr(float(r.time_s)),
-                repr(float(r.phi)),
-                repr(float(r.f_smooth)),
-                repr(float(r.square_loss)),
-                repr(float(r.psi)),
-                repr(float(r.theta)),
-                repr(float(r.sigma_top)),
-                str(int(r.rank)),
-                str(int(r.factor_rank)),
-            ]))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     def summary(self, solver, seed):
         last = self.records[-1] if self.records else None
         return {
             "solver": solver,
             "iters": len(self.records),
-            "final_phi": float(last.phi) if last else float("nan"),
-            "final_sqloss": float(last.square_loss) if last else float("nan"),
+            "final_phi": float(last.phi) if last else None,
+            "final_sqloss": float(last.square_loss) if last else None,
             "final_rank": int(last.rank) if last else 0,
             "wall_time_s": float(self.wall_time_s),
             "converged_reason": self.converged_reason,
@@ -246,9 +224,6 @@ def compress(factors: FactorPair, tol=1e-10):
     """
     left, s, right = factor_svd(factors)
     keep = s > tol
-    if not np.any(keep):
-        m, n = factors.shape
-        return FactorPair.zeros(m, n)
     root = np.sqrt(s[keep])
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
@@ -365,30 +340,26 @@ def _block_step(prob: PenaltyProblem, u, v, side):
                      + prob.mu * b, rhs, block)
 
 
-def local_search(prob: PenaltyProblem, u_init, v_init, budget, rel_floor=1e-4):
-    """Alternating ridge solves on U and V; returns (factors, psi).
+def local_search(prob: PenaltyProblem, factors, psi, budget, rel_floor=1e-4):
+    """Alternating ridge solves on U and V from factors at psi; returns both.
 
-    Each sweep takes one ``_block_step`` on U, one on V with the new U, and
-    one psi.  Every CG step started at the block lowers its quadratic, so a
-    CG block that stops early still descends.  Never returns a point with
-    psi above the initializer beyond rounding; stops on the sweep budget or
-    a relative improvement below rel_floor.  The psi returned is that of
-    the returned factors.
+    ``psi`` is that of ``factors``: for the step candidate, the value
+    ``StepModel.minimize`` returned.  Each sweep takes one ``_block_step`` on
+    U, one on V with the new U, and one psi.  Every CG step started at the
+    block lowers its quadratic, so a CG block that stops early still
+    descends.  Never returns a point with psi above the given one beyond
+    rounding; stops on the sweep budget, which a rank-0 pair skips, or a
+    relative improvement below rel_floor.
     """
-    u = np.array(u_init, dtype=float, copy=True)
-    v = np.array(v_init, dtype=float, copy=True)
-    factors = FactorPair(u, v)
-    psi_cur = psi_value(prob, factors)
-    if budget <= 0 or factors.rank == 0:
-        return factors, psi_cur
-    for _ in range(budget):
-        psi_sweep = psi_cur
+    u, v = factors.U, factors.V
+    for _ in range(budget if factors.rank else 0):
+        psi_sweep = psi
         u = _block_step(prob, u, v, "u")
         v = _block_step(prob, u, v, "v")
-        psi_cur = psi_value(prob, FactorPair(u, v))
-        if psi_sweep - psi_cur <= rel_floor * max(1e-30, abs(psi_cur)):
+        psi = psi_value(prob, FactorPair(u, v))
+        if psi_sweep - psi <= rel_floor * max(1e-30, abs(psi)):
             break
-    return FactorPair(u, v), psi_cur
+    return FactorPair(u, v), psi
 
 
 def _augment(shrunk: FactorPair, z_u, z_v, theta):
@@ -430,10 +401,9 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors, terms)
         pair = top_singular_pair(-g)
-        a, theta, _ = step_model(prob, factors, pair.u, pair.v, terms).minimize()
+        a, theta, psi_cand = step_model(prob, factors, pair.u, pair.v, terms).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
-        cand, psi_cand = local_search(prob, cand.U, cand.V,
-                                      budget=config.local_search_max_steps)
+        cand, psi_cand = local_search(prob, cand, psi_cand, config.local_search_max_steps)
         if not np.isfinite(psi_cand):  # before the settle and the hold
             raise trace.diverged(f"non-finite objective at iteration {k}")
         settled = _settled(prob, cand, psi_cand, config.recompress)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from slrm.apps import (ScsConfig, SsrConfig, analytic_covariances,
-                       empirical_covariances, random_system, save_scs_data,
-                       save_ssr_data, scs_generate, scs_problem,
-                       simulate_outputs, sinusoid_grid, ssr_generate,
-                       ssr_problem, substream)
+                       empirical_covariances, random_system, scs_generate,
+                       scs_problem, simulate_outputs, sinusoid_grid,
+                       ssr_generate, ssr_problem, substream)
+from slrm.cli import save_scs_data, save_ssr_data
 from slrm.linalg import vec
 from slrm.structure import apply_structure, two_fold_hankel_spec
 

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from slrm import apps, baseline, objective
+from slrm import apps, baseline, cli, objective
 from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
 from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank
@@ -237,7 +237,7 @@ def test_row_times_rise_to_at_most_the_wall_time(rng):
         assert 0.0 < t[0] and t[-1] <= trace.wall_time_s
 
 
-def test_apg_reads_the_structured_rank_once(monkeypatch):
+def test_apg_reads_the_structured_rank_once(monkeypatch, tmp_path):
     # the rank is a read-out of the returned iterate, not part of an
     # iteration: one call per solve_apg, so one per continuation stage
     cfg = apps.SsrConfig(n=2, r=2, j=6, k=8, T=2000, sigma=0.05, seed=7)
@@ -254,7 +254,8 @@ def test_apg_reads_the_structured_rank_once(monkeypatch):
     np.testing.assert_array_equal(calls[-1], vec(x))
     assert trace.records[-1].rank == structured_rank(prob, vec(x))
     assert trace.records[-1].rank > 0
-    header, *rows = trace.to_csv().splitlines()
+    cli._write_trace(tmp_path / "trace.csv", trace)
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
     col = header.split(",").index("rank")
     ranks = [row.split(",")[col] for row in rows]
     assert ranks == ["-1"] * 39 + [str(trace.records[-1].rank)]

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from slrm import cli
+from slrm.gcg import SolveTrace, TraceRecord
+
+TRACE_HEADER = "iter,time_s,phi,f,sqloss,psi,theta,sigma_top,rank,factor_rank"
 
 
 def _read_trace(path):
@@ -45,9 +48,55 @@ def test_ssr_end_to_end(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "covariances.csv"))
     with open(os.path.join(out, "summary.json")) as fh:
         assert json.load(fh) == summary
+    with open(os.path.join(out, "trace.csv")) as fh:
+        assert fh.readline() == TRACE_HEADER + "\n"
     rows = _read_trace(os.path.join(out, "trace.csv"))
-    assert rows[0] == cli.SolveTrace().to_csv().strip().split(",")
     assert len(rows) - 1 == summary["iters"]
+
+
+def test_trace_csv_roundtrip(tmp_path):
+    # one column per TraceRecord field: int fields print as ints, a numpy
+    # int64 too, float fields by repr (so 0.0 stays 0.0 and every float
+    # round-trips), and every line ends in "\n"
+    third = 1.0 / 3.0
+    trace = SolveTrace(records=[
+        TraceRecord(1, 0.125, 1.5, 0.5, 0.25, 1.75, 0.0, 2.0, np.int64(2), 3),
+        TraceRecord(2, 0.25, third, 1e-300, 2.0 ** 60, -third, 0.3, 7e22, -1, 0)],
+        converged_reason="tol_x", wall_time_s=0.25)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, trace)
+    header, first, second, end = path.read_bytes().decode().split("\n")
+    assert header == TRACE_HEADER and end == ""
+    assert first == "1,0.125,1.5,0.5,0.25,1.75,0.0,2.0,2,3"
+    parts = second.split(",")
+    assert [float(x) for x in parts[1:8]] == [0.25, third, 1e-300, 2.0 ** 60, -third,
+                                              0.3, 7e22]
+    assert parts[0] == "2" and parts[-2:] == ["-1", "0"]
+    summary = trace.summary("gcgls", 7)
+    assert set(summary) == {"solver", "iters", "final_phi", "final_sqloss",
+                            "final_rank", "wall_time_s", "converged_reason",
+                            "seed"}
+    assert summary["iters"] == 2 and summary["seed"] == 7
+
+
+def test_a_run_diverged_at_its_start_writes_strict_json(tmp_path, capsys):
+    # noise of 1e150 makes phi non-finite at the initial point: exit 1, a
+    # trace.csv of its header alone, and null final values in summary.json
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["ssr", "--n", "2", "--r", "2", "--j", "3", "--k", "3",
+                         "--T", "200", "--sigma", "1e150", "--mu", "0.1", "--seed", "1",
+                         "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("diverged: ")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["iters"] == 0 and summary["converged_reason"] == "diverged"
+    assert summary["final_phi"] is None and summary["final_sqloss"] is None
+    assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
 
 
 def test_ssr_runs_are_identical_up_to_timing(tmp_path, capsys):

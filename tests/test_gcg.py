@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from slrm import apps, gcg, objective
-from slrm.gcg import (CSV_HEADER, PSI_SLACK, DivergedError, GcgConfig,
-                      SolveTrace, TraceRecord, _augment, _block_cg,
-                      _settled, compress, lam_stages, local_search,
-                      rank_estimate, recover_y, solve, solve_homotopy,
-                      structured_rank)
+from slrm.gcg import (PSI_SLACK, DivergedError, GcgConfig, SolveTrace,
+                      TraceRecord, _augment, _block_cg, _settled, compress,
+                      lam_stages, local_search, rank_estimate, recover_y,
+                      solve, solve_homotopy, structured_rank)
 from slrm.linalg import SparseMatrix, spmv, spmv_t, top_singular_pair, unvec, vec
 from slrm.objective import (FactorPair, _iterate_terms, factor_svd, psi_value,
                             smooth_terms, step_model)
 
 from conftest import dense_smooth_terms, observed_problems, random_hankel_problem
+
+
+def _search(prob, u, v, budget, **kwargs):
+    # local_search from the factors (u, v) at their own psi
+    factors = FactorPair(u, v)
+    return local_search(prob, factors, psi_value(prob, factors), budget, **kwargs)
 
 
 def test_config_validation():
@@ -72,7 +77,7 @@ def test_compress_preserves_product(rng):
 def test_local_search_descends_psi(rng, monkeypatch):
     # psi after every block that _block_step returns, spied on, never rises,
     # whether solved exactly (4 x 5 lift) or by CG (46 x 45); the search
-    # returns its last value
+    # returns its last value and leaves the given factors as they were
     blocks = []
     block_step = gcg._block_step
 
@@ -86,7 +91,10 @@ def test_local_search_descends_psi(rng, monkeypatch):
         u = rng.standard_normal((j, r))
         v = rng.standard_normal((r, k))
         blocks.clear()
-        out, psi = local_search(prob, u, v, budget=6)
+        start = u.copy(), v.copy()
+        out, psi = _search(prob, u, v, budget=6)
+        for given, was in zip((u, v), start):  # the search copies neither input
+            np.testing.assert_array_equal(given, was)
         history = [psi_value(prob, FactorPair(u, v))]
         for block in blocks:
             if block.shape == u.shape:
@@ -102,15 +110,17 @@ def test_local_search_descends_psi(rng, monkeypatch):
 
 
 def test_local_search_respects_zero_budget(rng):
+    # without a sweep the factors and the given psi come back as they are;
+    # a rank-0 pair takes no sweep under any budget
     prob = random_hankel_problem(rng, j=3, k=3)
     u = rng.standard_normal((3, 2))
     v = rng.standard_normal((2, 3))
-    out, psi = local_search(prob, u, v, budget=0)
+    out, psi = _search(prob, u, v, budget=0)
     np.testing.assert_array_equal(out.U, u)
     np.testing.assert_array_equal(out.V, v)
     assert psi == psi_value(prob, out)
-    zero, _ = local_search(prob, np.zeros((3, 0)), np.zeros((0, 3)), budget=5)
-    assert zero.rank == 0
+    zero, psi = local_search(prob, FactorPair.zeros(3, 3), 1.25, budget=5)
+    assert zero.rank == 0 and zero.shape == (3, 3) and psi == 1.25
 
 
 def test_local_search_stops_at_the_improvement_floor(rng):
@@ -118,14 +128,14 @@ def test_local_search_stops_at_the_improvement_floor(rng):
     prob = random_hankel_problem(rng, j=4, k=4, lam=1.5, mu=0.3)
     u = rng.standard_normal((4, 2))
     v = rng.standard_normal((2, 4))
-    out, _ = local_search(prob, u, v, budget=30)
-    again, _ = local_search(prob, out.U, out.V, budget=30)
+    out, _ = _search(prob, u, v, budget=30)
+    again, _ = _search(prob, out.U, out.V, budget=30)
     drop = psi_value(prob, out) - psi_value(prob, again)
     assert drop >= -1e-12
     assert drop <= 3e-4 * (1 + abs(psi_value(prob, out)))
     # with the floor disabled it digs to block stationarity instead
-    deep, _ = local_search(prob, u, v, budget=300, rel_floor=1e-15)
-    deeper, _ = local_search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
+    deep, _ = _search(prob, u, v, budget=300, rel_floor=1e-15)
+    deeper, _ = _search(prob, deep.U, deep.V, budget=20, rel_floor=1e-15)
     assert psi_value(prob, deep) - psi_value(prob, deeper) <= 1e-9 * (
         1 + abs(psi_value(prob, deep)))
     # psi stops falling while the factors are still about sqrt(eps) from
@@ -133,8 +143,8 @@ def test_local_search_stops_at_the_improvement_floor(rng):
     # go on to it.  There each exact block solve returns its own block up to
     # rounding: psi does not rise and the factors barely move.
     for _ in range(200):
-        deep, _ = local_search(prob, deep.U, deep.V, budget=1)
-    still, psi = local_search(prob, deep.U, deep.V, budget=30)
+        deep, _ = _search(prob, deep.U, deep.V, budget=1)
+    still, psi = _search(prob, deep.U, deep.V, budget=30)
     psi_deep = psi_value(prob, deep)
     assert psi - psi_deep <= 1e-12 * max(1.0, abs(psi_deep))
     for got, was in ((still.U, deep.U), (still.V, deep.V)):
@@ -193,7 +203,7 @@ def test_cg_block_solves_above_the_size_cutoff(rng, monkeypatch):
 
     monkeypatch.setattr(gcg, "_hess_vec", counted_hess_vec)
     monkeypatch.setattr(gcg, "cg", spied_cg)
-    local_search(prob, u, v, budget=3, rel_floor=0.0)
+    _search(prob, u, v, budget=3, rel_floor=0.0)
     assert len(per_block) == 6 and max(per_block) <= 11
     assert sum(per_block) == applies[0]
     ac, b = prob.AC.to_scipy(), prob.B.to_scipy()
@@ -264,8 +274,9 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
     # candidate's thin SVD, AC and the Gram on the accepted iterate, C for
     # its rank.  Before the loop, psi at the initializer, then the start's
     # QR pair and evaluation.  A zero iterate (factor rank 0, as on
-    # zeros_and_singletons) has no QR to take.  No product anywhere in the
-    # solve is with B.
+    # zeros_and_singletons) has no QR to take, and a rank-0 candidate no
+    # product inside local_search.  No product anywhere in the solve is
+    # with B.
     outside, inside, depth = [], [], [0]
 
     def log(kind, a):
@@ -300,7 +311,8 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
             want += [("spmv", prob.C)]
         assert len(outside) == len(want), name
         assert all(k == wk and a is wa for (k, a), (wk, wa) in zip(outside, want)), name
-        assert inside and not any(a is prob.B for _, a in outside + inside), name
+        assert inside or not any(row.factor_rank for row in trace.records), name
+        assert not any(a is prob.B for _, a in outside + inside), name
         assert ("QR", None) not in inside, name
 
 
@@ -331,9 +343,9 @@ def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam, settings)
 def _inflated_from_the_third_call(calls):
     # local_search, but from its third call (counted in calls) on it returns
     # its result scaled by sqrt(10) with that point's psi, which rises
-    def inflated(p, u, v, budget):
+    def inflated(p, factors, psi, budget):
         calls.append(1)
-        out, psi = local_search(p, u, v, budget)
+        out, psi = local_search(p, factors, psi, budget)
         if len(calls) < 3:
             return out, psi
         out = out.scaled(np.sqrt(10.0))
@@ -453,13 +465,12 @@ def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
 def test_seed_changes_no_result():
     # GCG draws nothing at random: the seed is recorded, never used
     prob = _desk_problem()
+    names = [f.name for f in fields(TraceRecord) if f.name != "time_s"]
     tables = []
     for seed in (0, 12345):
         _, trace = solve_homotopy(prob, GcgConfig(seed=seed))
-        rows = [line.split(",") for line in trace.to_csv().splitlines()]
-        tables.append([row[:1] + row[2:] for row in rows])  # all but time_s
-    assert tables[0][0] == [c for c in CSV_HEADER.split(",") if c != "time_s"]
-    assert len(tables[0]) > 2
+        tables.append({name: trace.column(name).tolist() for name in names})
+    assert len(tables[0]["phi"]) > 1
     assert tables[0] == tables[1]
 
 
@@ -575,11 +586,11 @@ def test_a_nonfinite_local_search_diverges(rng, monkeypatch, bad):
     prob = random_hankel_problem(rng, j=4, k=5, mu=0.2)
     calls = []
 
-    def poisoned(p, u, v, budget):
+    def poisoned(p, factors, psi, budget):
         calls.append(1)
         if len(calls) < 3:
-            return local_search(p, u, v, budget)
-        factors = FactorPair(np.full_like(u, bad), np.full_like(v, bad))
+            return local_search(p, factors, psi, budget)
+        factors = FactorPair(np.full_like(factors.U, bad), np.full_like(factors.V, bad))
         return factors, psi_value(p, factors)
 
     monkeypatch.setattr(gcg, "local_search", poisoned)
@@ -608,24 +619,6 @@ def test_factor_rank_column_with_recompression(rng):
         fac, trace = solve(prob, cfg)
         assert all(r.factor_rank >= 0 for r in trace.records)
         assert all(r.rank <= min(prob.rows, prob.cols) for r in trace.records)
-
-
-def test_trace_csv_roundtrip():
-    trace = SolveTrace(records=[TraceRecord(1, 0.125, 1.5, 0.5, 0.25, 1.75,
-                                            0.3, 2.0, 2, 3)],
-                       converged_reason="tol_x", wall_time_s=0.25)
-    text = trace.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    parts = lines[1].split(",")
-    assert int(parts[0]) == 1
-    assert float(parts[2]) == 1.5     # repr round-trips exactly
-    assert parts[-2:] == ["2", "3"]
-    summary = trace.summary("gcgls", 7)
-    assert set(summary) == {"solver", "iters", "final_phi", "final_sqloss",
-                            "final_rank", "wall_time_s", "converged_reason",
-                            "seed"}
-    assert summary["iters"] == 1 and summary["seed"] == 7
 
 
 def test_trace_append_numbers_rows_and_rejects_a_nonfinite_phi(rng):
@@ -710,7 +703,7 @@ def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
 
     u_ref = unvec(block_minimizer(np.kron(v.T, np.eye(m))), m, r)
     v_ref = unvec(block_minimizer(np.kron(np.eye(n), u_ref)), r, n)
-    out, _ = local_search(prob, u, v, budget=1)
+    out, _ = _search(prob, u, v, budget=1)
     for got, want in ((out.U, u_ref), (out.V, v_ref)):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -737,14 +730,12 @@ def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
                     (10, [("exact", 120), ("cg", 160)]),
                     (11, [("cg", 132), ("cg", 176)])):
         paths.clear()
-        local_search(prob, rng.standard_normal((12, r)),
-                     rng.standard_normal((r, 16)), budget=1)
+        _search(prob, rng.standard_normal((12, r)), rng.standard_normal((r, 16)), budget=1)
         assert paths == want, r
     assert "gram" not in vars(prob.AC)
     big = random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6)
     paths.clear()
-    local_search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)),
-                 budget=1)
+    _search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)), budget=1)
     assert paths == [("cg", 46), ("cg", 45)]
 
 
