@@ -207,8 +207,9 @@ def _run_app(args, cfg, generate, problem, save, data_file, finish=None):
     except OSError as exc:  # e.g. --out names a file
         return _usage_error(f"cannot create output directory: {exc}")
     save(os.path.join(out_dir, data_file), data)
-    try:
-        x, trace = _run_solver(prob, config)
+    try:  # a non-finite phi ends either solver as diverged; numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, trace = _run_solver(prob, config)
     except DivergedError as exc:
         if exc.trace is not None:
             _write_run_outputs(out_dir, exc.trace, args)

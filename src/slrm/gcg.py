@@ -7,10 +7,10 @@ together: psi is a convex quadratic in (a, theta), minimized in closed form
 over a in [0, 1], theta >= 0.  A few sweeps of alternating ridge solves,
 started from the psi that step returns, improve the factors, one
 ``_block_step`` per factor: a block of few unknowns on a small lift is
-solved exactly from its reduced normal matrix by one Cholesky
-factorization, any other block by a few steps of scipy's conjugate
-gradient.  Both apply the Hessian as the same sparse products with AC and
-B's Gram.  No move raises the surrogate objective psi beyond rounding.
+solved exactly from its reduced normal matrix (two GEMMs on the dense
+``hessian``, one Cholesky), any other by a few steps of scipy's conjugate
+gradient on sparse products with AC and B's Gram.  No move raises the
+surrogate objective psi beyond rounding.
 
 Each accepted iterate, and the start, settles through one thin SVD and one
 evaluation (``_settled``).  The SVD re-balances the factors (``compress``),
@@ -41,9 +41,9 @@ from .objective import (FactorPair, PenaltyProblem, _hess_vec, _iterate_terms,
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
-# A local-search block of d unknowns is solved exactly (_exact_block) while
-# prob.size * d, the entries of its columns of vec(U V), is at most this.
-EXACT_BLOCK_MAX_ENTRIES = 24_000
+# _exact_block's limits: entries of the lift, unknowns of the block
+EXACT_LIFT_MAX_ENTRIES = 512
+EXACT_BLOCK_MAX_UNKNOWNS = 120
 BLOCK_CG_MAX_ITER = 10
 
 
@@ -251,24 +251,19 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
     """Reduced normal matrix ``K = P^T H P + mu I`` of one local-search block.
 
     ``P`` maps the free block's vec to vec(U V) with the other factor held:
-    ``P = V^T kron I_M`` for U (d = M r), ``I_N kron U`` for V (d = r N).  K
-    takes one Hessian apply ``_hess_vec`` on the d columns of P and one
-    contraction of its rows with V (or U^T); P is written through its
-    nonzero pattern, not by ``np.kron``.
+    ``P = V^T kron I_M`` for U (d = M r), ``I_N kron U`` for V (d = r N).
+    H is the problem's dense ``hessian``.  K takes two GEMMs on reshaped
+    views, with P never formed: H P from H and V (through H's symmetry) or
+    U, then the contraction of its rows with V or U^T.
     """
     m, n = prob.rows, prob.cols
     r = u.shape[1]
+    h = prob.hessian
     if side == "u":
-        p = np.zeros((n, m, r, m))
-        i = np.arange(m)
-        p[:, i, :, i] = v.T
-        hp = _hess_vec(prob, p.reshape(m * n, m * r))
+        hp = (v @ h.reshape(n, m * m * n)).reshape(m * r, m * n).T
         k = (v @ hp.reshape(n, m * m * r)).reshape(m * r, m * r)
     else:
-        p = np.zeros((n, m, n, r))
-        j = np.arange(n)
-        p[j, :, j, :] = u
-        hp = _hess_vec(prob, p.reshape(m * n, r * n))
+        hp = (h.reshape(m * n * n, m) @ u).reshape(m * n, n * r)
         k = np.matmul(u.T, hp.reshape(n, m, r * n)).reshape(r * n, r * n)
     k.flat[::k.shape[0] + 1] += prob.mu
     return k
@@ -277,18 +272,22 @@ def _block_normal(prob: PenaltyProblem, u, v, side):
 def _exact_block(prob: PenaltyProblem, d):
     """Whether a local-search block of d unknowns is solved exactly.
 
-    True while P, the block's d columns of vec(U V), holds at most
-    ``EXACT_BLOCK_MAX_ENTRIES`` entries (``prob.size * d``).  That one count
-    caps P's memory (192 kB) and the work of ``H @ P`` and of its
-    contraction with V or U^T.  It sits below the measured crossover with at
-    most 10 CG steps: one block solve from a random start on ssr lifts from
-    12 x 16 to 40 x 48 (2 cores, OpenBLAS at 1 thread, best of 15) favoured
-    the exact solve up to 25,600 entries (16 x 20, d = 80: 131 against
-    320 us) and CG from 27,648 (12 x 16, d = 144: 882 against 516 us).  On
-    the desk lift (12 x 16) U is exact through rank 10 (d = 120) and V
+    True for at most ``EXACT_BLOCK_MAX_UNKNOWNS`` unknowns, up to which
+    ``dposv`` stays cheap at default threads, on a lift of at most
+    ``EXACT_LIFT_MAX_ENTRIES`` entries, whose dense ``hessian`` (2 MB at
+    512) stays small; a larger lift never builds it.  One block solve from
+    a random start over ranks 1-10, exact against 10 CG steps, in us (best
+    of 5 x 50, 2 cores, OpenBLAS at 1 thread):
+
+        12 x 16   19-184 / 259-637     24 x 24   136-472 / 384-546
+        16 x 20   46-232 / 535-630     24 x 32   238-659 / 340-410
+        20 x 24  104-431 / 553-622     4 x 200   258-613 / 149-711
+        16 x 32  130-406 / 398-688     2 x 1000  1463-3205 / 280-599
+
+    On the desk lift (12 x 16) U is exact through rank 10 (d = 120), V
     through rank 7 (d = 112).
     """
-    return prob.size * d <= EXACT_BLOCK_MAX_ENTRIES
+    return prob.size <= EXACT_LIFT_MAX_ENTRIES and d <= EXACT_BLOCK_MAX_UNKNOWNS
 
 
 def _cholesky_solve(k, rhs, x0):
@@ -325,8 +324,8 @@ def _block_step(prob: PenaltyProblem, u, v, side):
     from the block into U V, and ``fold`` is P^T.  A small block
     (``_exact_block``) is solved from K = P^T H P + mu I (``_block_normal``)
     by one Cholesky factorization; any other by at most 10 steps of scipy's
-    ``cg`` (``_block_cg``) warm started at the block, stopping once
-    ``|r| <= 1e-5 max(1, |rhs|)``.  Neither input is modified.
+    ``cg`` on ``_hess_vec`` (``_block_cg``) warm started at the block,
+    stopping once ``|r| <= 1e-5 max(1, |rhs|)``.  Neither input is modified.
     """
     if side == "u":
         block, lift, fold = u, (lambda b: b @ v), (lambda w: w @ v.T)

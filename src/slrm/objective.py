@@ -95,6 +95,15 @@ class PenaltyProblem:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def hessian(self):
+        """Dense ``AC^T AC + lam B^T B`` (MN x MN), exactly symmetric and
+        read-only, built on first use from AC^T times AC's dense form and B's
+        Gram; each lam stage builds its own, for ``gcg._block_normal``."""
+        out = spmv_t(self.AC, self.AC.to_dense()) + self.lam * self.B.gram.to_dense()
+        out.flags.writeable = False
+        return out
+
 
 def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,
              mu) -> PenaltyProblem:
@@ -175,9 +184,9 @@ def _grad_vec(prob: PenaltyProblem, x):
 def _hess_vec(prob: PenaltyProblem, x):
     """``(AC^T AC + lam B^T B) x`` on vec space, x one vector or columns.
 
-    Products with AC, AC^T and B's Gram; AC's Gram is never built.  The
-    local search applies it to a vector in each CG step and to the (MN x d)
-    block P of an exact block solve (``gcg._block_normal``).
+    Products with AC, AC^T and B's Gram; AC's Gram is never built.  Each
+    CG step of a local-search block applies it to one vector; exact blocks
+    read the dense ``PenaltyProblem.hessian`` instead.
     """
     return spmv_t(prob.AC, spmv(prob.AC, x)) + prob.lam * spmv(prob.B.gram, x)
 

@@ -79,16 +79,20 @@ def test_trace_csv_roundtrip(tmp_path):
     assert summary["iters"] == 2 and summary["seed"] == 7
 
 
-def test_a_run_diverged_at_its_start_writes_strict_json(tmp_path, capsys):
-    # noise of 1e150 makes phi non-finite at the initial point: exit 1, a
-    # trace.csv of its header alone, and null final values in summary.json
+@pytest.mark.parametrize("solver", ["gcgls", "apg-svt"])
+def test_a_run_diverged_at_its_start_writes_strict_json(tmp_path, capsys, solver):
+    # noise of 1e150 makes phi non-finite at the initial point: exit 1, one
+    # stderr line and no numpy warning, a trace.csv of its header alone, and
+    # null final values in summary.json
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["ssr", "--n", "2", "--r", "2", "--j", "3", "--k", "3",
                          "--T", "200", "--sigma", "1e150", "--mu", "0.1", "--seed", "1",
-                         "--out", str(out)])
+                         "--solver", solver, "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("diverged: ")
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -682,37 +682,50 @@ def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 30.0, "no B rows"])
 def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
-    # One sweep on the desk lift is two exact block solves, U with V held and
-    # then V with the new U; each is pinned to np.linalg.solve of its normal
-    # equations P^T H P + mu I built from the dense AC and B.
-    prob = _desk_problem()
-    if lam == "no B rows":
-        prob = replace(prob, B=SparseMatrix((0, prob.size)))
-    else:
-        prob = replace(prob, lam=lam)
-    m, n, r = prob.rows, prob.cols, 3
-    u = rng.standard_normal((m, r))
-    v = rng.standard_normal((r, n))
-    assert gcg._exact_block(prob, m * r) and gcg._exact_block(prob, r * n)
-    ac, bm = prob.AC.to_dense(), prob.B.to_dense()
-    hess = ac.T @ ac + prob.lam * bm.T @ bm
+    # On the desk lift and a two-fold one (12 x 9), at factor ranks 1, 3 and
+    # 7, _block_normal on either side is the explicit P^T H P + mu I, with P
+    # from np.kron and H from the dense AC and B.  One sweep is two exact
+    # block solves, U with V held and then V with the new U; each is pinned
+    # to np.linalg.solve of those normal equations.
+    two_fold = dict(observed_problems(rng, 1.0, mu=0.1))["two_fold"]
+    for prob in (_desk_problem(), two_fold):
+        if lam == "no B rows":
+            prob = replace(prob, B=SparseMatrix((0, prob.size)))
+        else:
+            prob = replace(prob, lam=lam)
+        m, n = prob.rows, prob.cols
+        ac, bm = prob.AC.to_dense(), prob.B.to_dense()
+        hess = ac.T @ ac + prob.lam * bm.T @ bm
 
-    def block_minimizer(p):
-        k = p.T @ hess @ p + prob.mu * np.eye(p.shape[1])
-        return np.linalg.solve(k, p.T @ (ac.T @ prob.target))
+        def normal(p):
+            return p.T @ hess @ p + prob.mu * np.eye(p.shape[1])
 
-    u_ref = unvec(block_minimizer(np.kron(v.T, np.eye(m))), m, r)
-    v_ref = unvec(block_minimizer(np.kron(np.eye(n), u_ref)), r, n)
-    out, _ = _search(prob, u, v, budget=1)
-    for got, want in ((out.U, u_ref), (out.V, v_ref)):
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        def block_minimizer(p):
+            return np.linalg.solve(normal(p), p.T @ (ac.T @ prob.target))
+
+        for r in (1, 3, 7):
+            u = rng.standard_normal((m, r))
+            v = rng.standard_normal((r, n))
+            assert gcg._exact_block(prob, m * r) and gcg._exact_block(prob, r * n)
+            for side, p in (("u", np.kron(v.T, np.eye(m))), ("v", np.kron(np.eye(n), u))):
+                want = normal(p)
+                got = gcg._block_normal(prob, u, v, side)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (m, r, side)
+            u_ref = unvec(block_minimizer(np.kron(v.T, np.eye(m))), m, r)
+            v_ref = unvec(block_minimizer(np.kron(np.eye(n), u_ref)), r, n)
+            out, _ = _search(prob, u, v, budget=1)
+            for got, want in ((out.U, u_ref), (out.V, v_ref)):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
     # On the desk lift (12 x 16) U is solved exactly through rank 10
     # (d = 120) and V through rank 7 (d = 112); U at rank 11 and V at rank 8
-    # take CG.  The exact solves apply the separate Hessian products, so
-    # AC's Gram is never built.  On the 46 x 45 lift every block takes CG.
+    # take CG.  The exact solves read the problem's dense hessian, built
+    # from AC's dense form, so AC's Gram is never built.  Above the lift
+    # limit every block takes CG and the hessian is never built: on the
+    # 46 x 45 lift, the scs-31 lift (36 x 676), and a 2 x 500 Hankel lift
+    # even for its U block of 2 unknowns.
     prob = _desk_problem()
     paths = []
 
@@ -733,10 +746,15 @@ def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):
         _search(prob, rng.standard_normal((12, r)), rng.standard_normal((r, 16)), budget=1)
         assert paths == want, r
     assert "gram" not in vars(prob.AC)
-    big = random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6)
-    paths.clear()
-    _search(big, rng.standard_normal((46, 1)), rng.standard_normal((1, 45)), budget=1)
-    assert paths == [("cg", 46), ("cg", 45)]
+    scs = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4, seed=3)
+    for big in (random_hankel_problem(rng, j=46, k=45, lam=1.3, frac=0.6),
+                apps.scs_problem(scs, apps.scs_generate(scs), mu=0.1),
+                random_hankel_problem(rng, j=2, k=500, lam=1.3, frac=0.6)):
+        m, n = big.rows, big.cols
+        paths.clear()
+        _search(big, rng.standard_normal((m, 1)), rng.standard_normal((1, n)), budget=1)
+        assert paths == [("cg", m), ("cg", n)]
+        assert "hessian" not in vars(big)
 
 
 def test_a_block_that_is_not_positive_definite_stays_unmoved(rng):

@@ -152,8 +152,9 @@ def test_grad_matches_finite_differences(rng):
 @pytest.mark.parametrize("lam", [0.0, 1.3, 100.0, "no B rows"])
 def test_grad_and_hess_vec_match_dense(rng, lam):
     # the Gram-based products against H = AC^T AC + lam B^T B formed densely;
-    # on an (MN x d) block, as the exact block solves apply it, the Hessian
-    # is the same products column by column
+    # on an (MN x d) block the Hessian is the same products column by column.
+    # The problem's dense hessian is H, exactly symmetric and read-only, and
+    # a stage at another lam builds its own.
     prob = random_hankel_problem(rng, j=3, k=4, lam=1.3, frac=0.6)
     if lam == "no B rows":
         prob = replace(prob, B=SparseMatrix((0, prob.size)))
@@ -171,6 +172,12 @@ def test_grad_and_hess_vec_match_dense(rng, lam):
     block = rng.standard_normal((prob.size, 5))
     want = np.column_stack([_hess_vec(prob, col) for col in block.T])
     np.testing.assert_array_equal(_hess_vec(prob, block), want)
+    np.testing.assert_allclose(prob.hessian, hess, rtol=0, atol=1e-12 * np.abs(hess).max())
+    np.testing.assert_array_equal(prob.hessian, prob.hessian.T)
+    assert not prob.hessian.flags.writeable
+    stage_hess = hess + 2.0 * bm.T @ bm
+    np.testing.assert_allclose(replace(prob, lam=prob.lam + 2.0).hessian, stage_hess,
+                               rtol=0, atol=1e-12 * np.abs(stage_hess).max())
     assert "gram" not in vars(prob.AC)
 
 
