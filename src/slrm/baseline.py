@@ -143,6 +143,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             break
 
     trace.records[-1].rank = structured_rank(prob, vec(x_prev))
+    trace.warm_start = x_prev
     trace.finish()
     return x_prev, trace
 

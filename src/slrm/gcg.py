@@ -9,16 +9,21 @@ started from the psi that step returns, improve the factors, one
 ``_block_step`` per factor: a block of few unknowns on a small lift is
 solved exactly from its reduced normal matrix (two GEMMs on the dense
 ``hessian``, one Cholesky), any other by a few steps of scipy's conjugate
-gradient on sparse products with AC and B's Gram.  No move raises the
-surrogate objective psi beyond rounding.
+gradient on sparse products with AC and B's Gram.  A sweep whose V block
+was solved exactly reads its psi off that solve, with no sparse product.
+No move raises the surrogate objective psi beyond rounding.
 
-Each accepted iterate, and the start, settles through one thin SVD and one
-evaluation (``_settled``).  The SVD re-balances the factors (``compress``),
-which puts the surrogate on the nuclear norm, so a kept compress gives
-|X|_* as the surrogate and the row's phi equals its psi.  The row, the next
+Each accepted iterate, and a cold start, settles through one thin SVD and
+one evaluation (``_settled``) to a ``Settled`` iterate.  The SVD
+re-balances the factors (``compress``), which puts the surrogate on the
+nuclear norm, so a kept compress gives |X|_* as the surrogate and the
+row's phi equals its psi.  The row, the next
 ``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V),
 and the tol_x step is |x_k - x_{k-1}|.  No product is taken with B
-itself, only with its Gram.
+itself, only with its Gram.  Of a Settled iterate only psi depends on
+lam, so each continuation stage starts from the one the last stage ended
+at, re-reading f from its terms, and shares the last stage's lam-free
+data (``PenaltyProblem.at_lam``).
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
@@ -28,21 +33,21 @@ Both this solver and the proximal baseline record their iterates through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import singular_values, spmv, top_singular_pair, unvec, vec
-from .objective import (FactorPair, PenaltyProblem, _hess_vec, _iterate_terms,
-                        factor_svd, grad_f, psi_value, smooth_terms_from,
-                        step_model)
+from .objective import (EXACT_LIFT_MAX_ENTRIES, FactorPair, PenaltyProblem,
+                        _hess_vec, _iterate_terms, factor_svd, grad_f,
+                        psi_value, smooth_terms_from, step_model)
 from .structure import apply_structure
 
 PSI_SLACK = 1e-12
-# _exact_block's limits: entries of the lift, unknowns of the block
-EXACT_LIFT_MAX_ENTRIES = 512
+# _exact_block's limit on the unknowns of a block; the lift's is objective's
 EXACT_BLOCK_MAX_UNKNOWNS = 120
 BLOCK_CG_MAX_ITER = 10
 
@@ -149,6 +154,9 @@ class SolveTrace:
     converged_reason: str = "max_iter"
     wall_time_s: float = 0.0
     t0: float = field(default_factory=time.perf_counter)
+    # what a next continuation stage starts from: GCG's last Settled
+    # iterate, APG's last iterate
+    warm_start: object = None
 
     def append(self, prob: PenaltyProblem, terms, nuclear, **row):
         """Record an iterate from its smooth terms and |X|_* = nuclear; returns phi.
@@ -228,23 +236,37 @@ def compress(factors: FactorPair, tol=1e-10):
     return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
 
 
+class Settled(NamedTuple):
+    """An iterate as GCG carries it: factors, psi, terms (x, AC x - b,
+    B^T B x), |X|_* and sigma, factor_svd's singular values or None.  Only
+    psi depends on lam, so a stage at another lam of the same problem can
+    start from it (``solve``)."""
+
+    factors: FactorPair
+    psi: float
+    terms: tuple
+    nuclear: float
+    sigma: np.ndarray | None
+
+
 def _settled(prob: PenaltyProblem, factors: FactorPair, psi, recompress):
-    # (factors, psi, terms, |X|_*, sigma) of the iterate that factors at a
-    # finite psi settle to: their compress() unless psi rises past rounding
-    # (balanced factors sit on the nuclear norm already, where a drop of rank
-    # can go either way by rounding), evaluated once by _iterate_terms.  A
-    # kept compress reads psi from those terms and |X|_* as its surrogate,
-    # and sigma is None: its SVD was of the factors before.  Else sigma is
-    # factor_svd's singular values of the returned factors, |X|_* their sum.
+    # The Settled iterate that factors at a finite psi settle to: their
+    # compress() unless psi rises past rounding (balanced factors sit on the
+    # nuclear norm already, where a drop of rank can go either way by
+    # rounding), evaluated once by _iterate_terms.  A kept compress reads psi
+    # from those terms and |X|_* as its surrogate, and sigma is None: its SVD
+    # was of the factors before.  Else sigma is factor_svd's singular values
+    # of the returned factors, |X|_* their sum.
     if recompress:
         packed = compress(factors)
         terms = _iterate_terms(prob, packed)
         nuclear = packed.surrogate()
         psi_packed = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
         if psi_packed <= psi + PSI_SLACK:
-            return packed, psi_packed, terms, nuclear, None
+            return Settled(packed, psi_packed, terms, nuclear, None)
     sigma = factor_svd(factors)[1]
-    return factors, psi, _iterate_terms(prob, factors), float(sigma.sum()), sigma
+    return Settled(factors, psi, _iterate_terms(prob, factors), float(sigma.sum()),
+                   sigma)
 
 
 def _block_normal(prob: PenaltyProblem, u, v, side):
@@ -318,14 +340,17 @@ def _block_cg(apply_mat, rhs, x0, max_iter=BLOCK_CG_MAX_ITER):
 
 
 def _block_step(prob: PenaltyProblem, u, v, side):
-    """The block of U (side "u") or V that minimizes psi with the other held.
+    """``(block, rhs)``: the block of U (side "u") or V that minimizes psi
+    with the other held, and the right-hand side of its normal equations
+    when it solves them exactly, else None.
 
     psi is a strongly convex quadratic in the block.  ``lift`` is P, the map
-    from the block into U V, and ``fold`` is P^T.  A small block
-    (``_exact_block``) is solved from K = P^T H P + mu I (``_block_normal``)
-    by one Cholesky factorization; any other by at most 10 steps of scipy's
-    ``cg`` on ``_hess_vec`` (``_block_cg``) warm started at the block,
-    stopping once ``|r| <= 1e-5 max(1, |rhs|)``.  Neither input is modified.
+    from the block into U V, and ``fold`` is P^T, so rhs = P^T vec(AC^T b).
+    A small block (``_exact_block``) is solved from K = P^T H P + mu I
+    (``_block_normal``) by one Cholesky factorization; any other by at most
+    10 steps of scipy's ``cg`` on ``_hess_vec`` (``_block_cg``) warm started
+    at the block, stopping once ``|r| <= 1e-5 max(1, |rhs|)``.  Neither
+    input is modified.
     """
     if side == "u":
         block, lift, fold = u, (lambda b: b @ v), (lambda w: w @ v.T)
@@ -333,10 +358,19 @@ def _block_step(prob: PenaltyProblem, u, v, side):
         block, lift, fold = v, (lambda b: u @ b), (lambda w: u.T @ w)
     rhs = fold(prob.adjoint_target)
     if _exact_block(prob, block.size):
-        return _cholesky_solve(_block_normal(prob, u, v, side), rhs, block)
+        out = _cholesky_solve(_block_normal(prob, u, v, side), rhs, block)
+        # a K that is not positive definite returns the block itself, unsolved
+        return out, (None if out is block else rhs)
     m, n = prob.rows, prob.cols
     return _block_cg(lambda b: fold(unvec(_hess_vec(prob, vec(lift(b))), m, n))
-                     + prob.mu * b, rhs, block)
+                     + prob.mu * b, rhs, block), None
+
+
+def _solved_psi(prob: PenaltyProblem, u, v, rhs):
+    # psi at (U, V) with V the exact minimizer for U held, K vec(V) = rhs:
+    # psi = |b|^2/2 - <rhs, V>/2 + mu |U|_F^2 / 2, with no product by AC
+    return (prob.half_target_sq - 0.5 * float(np.vdot(rhs, v))
+            + 0.5 * prob.mu * float(np.vdot(u, u)))
 
 
 def local_search(prob: PenaltyProblem, factors, psi, budget, rel_floor=1e-4):
@@ -344,20 +378,29 @@ def local_search(prob: PenaltyProblem, factors, psi, budget, rel_floor=1e-4):
 
     ``psi`` is that of ``factors``: for the step candidate, the value
     ``StepModel.minimize`` returned.  Each sweep takes one ``_block_step`` on
-    U, one on V with the new U, and one psi.  Every CG step started at the
-    block lowers its quadratic, so a CG block that stops early still
-    descends.  Never returns a point with psi above the given one beyond
-    rounding; stops on the sweep budget, which a rank-0 pair skips, or a
-    relative improvement below rel_floor.
+    U, one on V with the new U, and one psi for the stop test.  After an
+    exact V solve that psi is read from the solve itself (``_solved_psi``,
+    as in softImpute-ALS's alternating ridge); after a CG one, or a K that
+    was not positive definite, it is ``psi_value``.  The returned psi is
+    always ``psi_value`` of the returned factors, one more call if the last
+    sweep was exact.  Every CG step started at the block lowers its
+    quadratic, so a CG block that stops early still descends.  Never
+    returns a point with psi above the given one beyond rounding; stops on
+    the sweep budget, which a rank-0 pair skips, or a relative improvement
+    below rel_floor.
     """
     u, v = factors.U, factors.V
+    rhs = None
     for _ in range(budget if factors.rank else 0):
         psi_sweep = psi
-        u = _block_step(prob, u, v, "u")
-        v = _block_step(prob, u, v, "v")
-        psi = psi_value(prob, FactorPair(u, v))
+        u, _ = _block_step(prob, u, v, "u")
+        v, rhs = _block_step(prob, u, v, "v")
+        psi = (psi_value(prob, FactorPair(u, v)) if rhs is None
+               else _solved_psi(prob, u, v, rhs))
         if psi_sweep - psi <= rel_floor * max(1e-30, abs(psi)):
             break
+    if rhs is not None:
+        psi = psi_value(prob, FactorPair(u, v))
     return FactorPair(u, v), psi
 
 
@@ -379,23 +422,32 @@ def _augment(shrunk: FactorPair, z_u, z_v, theta):
 def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     """Run the conditional-gradient iteration; returns (factors, trace).
 
-    ``init`` defaults to the rank-one factorization of the all-ones matrix.
-    Raises DivergedError (carrying the partial trace) if the objective goes
-    non-finite.
+    ``init`` is a FactorPair, by default the rank-one factorization of the
+    all-ones matrix, which settles first (``_settled``), or the ``Settled``
+    iterate a stage of the same problem at another lam ended at
+    (``trace.warm_start``, which ``_continuation`` passes on).  That one
+    starts as it is: its terms, |X|_* and sigma hold at any lam, so only f
+    is re-read from them.  Raises DivergedError (carrying the partial
+    trace) if the objective goes non-finite.
     """
     if config is None:
         config = GcgConfig()
     config.validate()
     trace = SolveTrace()
-    factors = init if init is not None else FactorPair.ones(prob.rows, prob.cols)
-    if factors.shape != (prob.rows, prob.cols):
-        raise ValueError("initializer shape does not match the problem")
-    psi_prev = psi_value(prob, factors)
-    if not np.isfinite(psi_prev):  # before the settle, whose SVD needs finite factors
-        raise trace.diverged("non-finite objective at the initial point")
-    factors, psi_prev, terms, nuclear, sigma = _settled(prob, factors, psi_prev,
-                                                        config.recompress)
-    phi_prev = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
+    if isinstance(init, Settled):
+        f = smooth_terms_from(prob, *init.terms)[0]
+        start = init._replace(psi=f + prob.mu * init.factors.surrogate())
+    else:
+        factors = init if init is not None else FactorPair.ones(prob.rows, prob.cols)
+        if factors.shape != (prob.rows, prob.cols):
+            raise ValueError("initializer shape does not match the problem")
+        psi_prev = psi_value(prob, factors)
+        if not np.isfinite(psi_prev):  # before the settle, whose SVD needs finite factors
+            raise trace.diverged("non-finite objective at the initial point")
+        start = _settled(prob, factors, psi_prev, config.recompress)
+        f = smooth_terms_from(prob, *start.terms)[0]
+    factors, psi_prev, terms, nuclear, sigma = start
+    phi_prev = f + prob.mu * nuclear
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors, terms)
@@ -406,11 +458,11 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         if not np.isfinite(psi_cand):  # before the settle and the hold
             raise trace.diverged(f"non-finite objective at iteration {k}")
         settled = _settled(prob, cand, psi_cand, config.recompress)
-        held = settled[1] > psi_prev + PSI_SLACK
+        held = settled.psi > psi_prev + PSI_SLACK
         if held:
             theta = 0.0  # only rounding gets here; the row repeats the last one
         else:
-            dx = np.linalg.norm(settled[2][0] - terms[0])  # |X_k - X_{k-1}|_F
+            dx = np.linalg.norm(settled.terms[0] - terms[0])  # |X_k - X_{k-1}|_F
             factors, psi_prev, terms, nuclear, sigma = settled
 
         if config.track_structured_rank:
@@ -426,6 +478,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         if trace.stop(reason):
             break
 
+    trace.warm_start = Settled(factors, psi_prev, terms, nuclear, sigma)
     trace.finish()
     return factors, trace
 
@@ -456,13 +509,16 @@ def solve_homotopy(prob: PenaltyProblem, config: GcgConfig | None = None,
 
 
 def _continuation(solve_fn, prob: PenaltyProblem, config, init):
-    # One solve_fn(stage, config, init=...) per lam_stages weight, each warm
-    # started from the last; the terminal trace's wall_time_s covers all.
-    result, trace = init, None
+    # One solve_fn(stage, config, init=...) per lam_stages weight.  Each
+    # stage is the last one's at_lam, so its lam-free data (objective's
+    # LAM_FREE) is built once, and warm starts from the last one's
+    # trace.warm_start.  The terminal trace's wall_time_s covers all stages.
+    stage, start, trace = prob, init, None
     total = 0.0
     for lam in lam_stages(prob.lam, config.lam_growth, config.lam_max):
-        stage = replace(prob, lam=lam) if lam != prob.lam else prob
-        result, trace = solve_fn(stage, config, init=result)
+        stage = stage.at_lam(lam)
+        result, trace = solve_fn(stage, config, init=start)
+        start = trace.warm_start
         total += trace.wall_time_s
     trace.wall_time_s = total
     return result, trace

@@ -185,6 +185,13 @@ def _check(info, routine):
 # So _thin_qr and _svd go direct only up to DIRECT_LAPACK_MAX_ENTRIES, where
 # no call threads; above, numpy's wrapper is a small share of the call.
 DIRECT_LAPACK_MAX_ENTRIES = 1024
+# top_singular_pair's direct dsyevr is bounded by the short side k.  At
+# 2 threads on 2 cores a 300 x 300 numpy product right after it read 1.0x
+# its time alone at k = 12, 36 and 63, but 6.7-8.5x at k = 64, 65 and 100
+# (median of 60, one process per k); after numpy's eigh it read 1.0x at
+# every k.  The bound is 64, scs-101's short side, so that solve keeps its
+# bits: acceptance 11's error there sits near its bound.
+TOP_PAIR_DIRECT_MAX_SIDE = 64
 
 
 def _thin_qr(a):
@@ -247,21 +254,26 @@ def top_singular_pair(a):
 
     The top eigenvector w of the k x k Gram ``s s^T`` of the short side s is
     the short-side singular vector, and ``s^T w`` is sigma times the other.
-    w comes from one direct dsyevr for the top index, the call and workspace
-    of ``scipy.linalg.eigh(subset_by_index=...)`` without its wrapper: 23
+    Up to ``TOP_PAIR_DIRECT_MAX_SIDE`` w comes from one direct dsyevr for
+    the top index, the call and workspace of
+    ``scipy.linalg.eigh(subset_by_index=...)`` without its wrapper: 23
     against 36 us at 12 x 16, with the same bits (best of 3 processes on
-    2 cores, OpenBLAS at 1 thread).
+    2 cores, OpenBLAS at 1 thread).  Above, it is the last column of
+    numpy's ``eigh``.
     ``converged`` is always True; ``iterations`` counts the two products
     with ``a``.  A zero matrix gives ``degenerate``, ``sigma`` 0 and unit
     vectors.  Raises on non-finite input.
     """
     s, scale, left = _short_side(a, "top_singular_pair")
     k, n = s.shape
-    lwork, liwork = _lwork("dsyevr", k, k)
-    _, w, _, _, info = dsyevr(s @ s.T, range="I", il=k, iu=k, lower=True,
-                              lwork=lwork, liwork=liwork)
-    _check(info, "dsyevr")
-    w = w[:, 0]
+    if k <= TOP_PAIR_DIRECT_MAX_SIDE:
+        lwork, liwork = _lwork("dsyevr", k, k)
+        _, w, _, _, info = dsyevr(s @ s.T, range="I", il=k, iu=k, lower=True,
+                                  lwork=lwork, liwork=liwork)
+        _check(info, "dsyevr")
+        w = w[:, 0]
+    else:
+        w = np.linalg.eigh(s @ s.T)[1][:, -1]
     x = s.T @ w
     norm = float(np.linalg.norm(x))
     degenerate = norm == 0.0

@@ -11,7 +11,7 @@ enters only through its Gram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +68,21 @@ class FactorPair:
         return cls(np.ones((rows, 1)), np.ones((1, cols)))
 
 
+# The largest lift (M N entries) whose dense MN x MN matrices are built:
+# 2 MB each at 512.  gcg solves a block exactly only up to it.
+EXACT_LIFT_MAX_ENTRIES = 512
+# The lam-free values a stage of another lam shares (``PenaltyProblem.at_lam``)
+LAM_FREE = ("acac", "bb_positions", "adjoint_target", "half_target_sq")
+
+
 @dataclass(frozen=True, eq=False)
 class PenaltyProblem:
-    """Assembled problem data; treat as immutable once constructed."""
+    """Assembled problem data; treat as immutable once constructed.
+
+    Derived values are built on first use and cached on the object, so they
+    are freed with it; ``at_lam`` makes a stage at another lam that shares
+    the lam-free ones.
+    """
 
     rows: int
     cols: int
@@ -87,22 +99,59 @@ class PenaltyProblem:
     def size(self):
         return self.rows * self.cols
 
+    def at_lam(self, lam):
+        """This problem at structure weight lam, sharing every lam-free value
+        built so far (``LAM_FREE``); itself if lam is its own."""
+        if lam == self.lam:
+            return self
+        stage = replace(self, lam=float(lam))
+        built = vars(self)
+        vars(stage).update({name: built[name] for name in LAM_FREE if name in built})
+        return stage
+
     @cached_property
     def adjoint_target(self):
-        """mat(AC^T b), read-only; built on first use and shared by every
-        local search on this problem."""
-        out = unvec(spmv_t(self.AC, self.target), self.rows, self.cols)
-        out.flags.writeable = False
-        return out
+        """mat(AC^T b), read-only; shared by every local search on this problem."""
+        return _read_only(unvec(spmv_t(self.AC, self.target), self.rows, self.cols))
+
+    @cached_property
+    def half_target_sq(self):
+        """|b|^2 / 2, f at x = 0."""
+        return 0.5 * float(self.target @ self.target)
+
+    @cached_property
+    def acac(self):
+        """Dense ``AC^T AC`` (MN x MN), read-only: AC^T times AC's dense form,
+        so AC's sparse Gram is never built.  Raises ValueError on a lift
+        above ``EXACT_LIFT_MAX_ENTRIES``, before it allocates."""
+        if self.size > EXACT_LIFT_MAX_ENTRIES:  # 4.7 GB on the scs-31 lift
+            raise ValueError(f"no dense MN x MN matrix on a lift of {self.size} "
+                             f"entries (at most {EXACT_LIFT_MAX_ENTRIES})")
+        return _read_only(spmv_t(self.AC, self.AC.to_dense()))
+
+    @cached_property
+    def bb_positions(self):
+        """Flat positions in an MN x MN array of the entries B's Gram stores."""
+        gram = self.B.gram.to_scipy()
+        rows = np.repeat(np.arange(self.size) * self.size, np.diff(gram.indptr))
+        return rows + gram.indices
 
     @cached_property
     def hessian(self):
         """Dense ``AC^T AC + lam B^T B`` (MN x MN), exactly symmetric and
-        read-only, built on first use from AC^T times AC's dense form and B's
-        Gram; each lam stage builds its own, for ``gcg._block_normal``."""
-        out = spmv_t(self.AC, self.AC.to_dense()) + self.lam * self.B.gram.to_dense()
-        out.flags.writeable = False
-        return out
+        read-only, for ``gcg._block_normal``: one copy of ``acac`` per lam
+        stage, with lam times B's Gram added at its stored entries.  That is
+        ``acac + lam * B.gram.to_dense()`` bit for bit, with no dense B^T B:
+        B's Gram stores 464 of the desk's 36,864 entries.  Raises ValueError
+        on a lift above ``EXACT_LIFT_MAX_ENTRIES``."""
+        out = self.acac.copy()
+        out.ravel()[self.bb_positions] += self.lam * self.B.gram.to_scipy().data
+        return _read_only(out)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def assemble(spec: StructureSpec, observation: SparseMatrix, target, lam,

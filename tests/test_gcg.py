@@ -82,8 +82,9 @@ def test_local_search_descends_psi(rng, monkeypatch):
     block_step = gcg._block_step
 
     def spied(*args):
-        blocks.append(block_step(*args))
-        return blocks[-1]
+        out = block_step(*args)
+        blocks.append(out[0])
+        return out
 
     monkeypatch.setattr(gcg, "_block_step", spied)
     for j, k, r in ((4, 5, 2), (46, 45, 1)):
@@ -506,14 +507,18 @@ def test_the_tol_x_step_is_the_distance_of_consecutive_iterates(rng, monkeypatch
 
 
 def test_stopping_off_ends_no_stage_on_tol_x():
-    # Acceptance 09's desk run with stopping off, stage by stage.  A step
-    # formed from factor Gram products cancels to 0 below about sqrt(eps)
-    # |X|, which would end the lam = 1 and lam = 10 stages on tol_x.
-    prob = _desk_problem()
+    # Acceptance 09's desk run with stopping off, stage by stage as
+    # solve_homotopy runs them: each stage at_lam of the last, warm started
+    # from its settled iterate.  A step formed from factor Gram products
+    # cancels to 0 below about sqrt(eps) |X|, which would end the lam = 1
+    # and lam = 10 stages on tol_x.
+    stage = _desk_problem()
     cfg = GcgConfig(max_iter=60, tol_x=1e-300, tol_obj=1e-300)
-    factors, reasons = None, []
-    for lam in lam_stages(prob.lam, cfg.lam_growth, cfg.lam_max):
-        factors, trace = solve(replace(prob, lam=lam), cfg, init=factors)
+    start, reasons = None, []
+    for lam in lam_stages(stage.lam, cfg.lam_growth, cfg.lam_max):
+        stage = stage.at_lam(lam)
+        _, trace = solve(stage, cfg, init=start)
+        start = trace.warm_start
         reasons.append((lam, trace.converged_reason, len(trace.records)))
     assert len(reasons) == 3
     assert all(reason != "tol_x" for _, reason, _ in reasons), reasons
@@ -666,10 +671,13 @@ def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
     fac_h, tr_h = solve_homotopy(prob, cfg)
     monkeypatch.undo()
 
-    fac_m = None
+    # the stages solve_homotopy runs: each at_lam of the last, warm started
+    # from the settled iterate the last one ended at
+    stage, start = prob, None
     for lam in (1.0, 10.0, 100.0):
-        stage = replace(prob, lam=lam)
-        fac_m, tr_m = solve(stage, cfg, init=fac_m)
+        stage = stage.at_lam(lam)
+        fac_m, tr_m = solve(stage, cfg, init=start)
+        start = tr_m.warm_start
     np.testing.assert_array_equal(fac_h.product(), fac_m.product())
     assert [r.phi for r in tr_h.records] == [r.phi for r in tr_m.records]
     # wall_time_s covers all three stages: their times, added in stage order
@@ -716,6 +724,84 @@ def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
             out, _ = _search(prob, u, v, budget=1)
             for got, want in ((out.U, u_ref), (out.V, v_ref)):
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_an_exact_v_solve_gives_psi_in_closed_form(rng, monkeypatch, scale):
+    # After an exact V solve K vec(V) = rhs, psi = |b|^2/2 - <rhs, V>/2 +
+    # mu |U|_F^2/2 (_solved_psi) matches psi_value to 1e-13 max(1, |b|^2/2)
+    # on the desk lift at ranks 1-7 and lam 1, 10 and 100, also with b
+    # scaled by 1e3.  A search of exact sweeps evaluates psi_value once, for
+    # the psi it returns.  A K that is not positive definite leaves V
+    # unsolved, and its sweep reads psi_value instead.
+    desk = _desk_problem()
+    desk = replace(desk, target=scale * desk.target)
+    for lam in (1.0, 10.0, 100.0):
+        prob = desk.at_lam(lam)
+        tol = 1e-13 * max(1.0, prob.half_target_sq)
+        for r in range(1, 8):
+            u, v = rng.standard_normal((12, r)), rng.standard_normal((r, 16))
+            u, _ = gcg._block_step(prob, u, v, "u")
+            v, rhs = gcg._block_step(prob, u, v, "v")
+            assert rhs is not None, r
+            got = gcg._solved_psi(prob, u, v, rhs)
+            assert abs(got - psi_value(prob, FactorPair(u, v))) <= tol, (lam, r)
+    calls = []
+    monkeypatch.setattr(gcg, "psi_value", lambda *a: calls.append(1) or psi_value(*a))
+    start = FactorPair(rng.standard_normal((12, 3)), rng.standard_normal((3, 16)))
+    out, psi = local_search(prob, start, psi_value(prob, start), budget=5)
+    assert len(calls) == 1 and psi == psi_value(prob, out)
+    monkeypatch.setattr(gcg, "_cholesky_solve", lambda k, rhs, x0: x0)
+    monkeypatch.setattr(gcg, "_solved_psi",
+                        lambda *a: pytest.fail("closed form read after a failed solve"))
+    calls.clear()
+    out, psi = local_search(prob, start, psi_value(prob, start), budget=5)
+    assert len(calls) == 1 and psi == psi_value(prob, out)
+    np.testing.assert_array_equal(out.product(), start.product())
+
+
+def test_warm_stages_start_from_the_settled_iterate(monkeypatch):
+    # solve_homotopy on the desk: only the first stage evaluates and settles
+    # its start before its first gradient; a warm stage starts from the last
+    # stage's settled iterate, with a start phi (the first stop test's
+    # phi_prev) equal to a fresh dense evaluation of it to 1e-12 relative.
+    # Every stage shares the first stage's lam-free data.
+    events, stages, starts = [], [], []
+    solve_fn, psi_fn, settled_fn, grad_fn = gcg.solve, gcg.psi_value, gcg._settled, gcg.grad_f
+    stop_reason = GcgConfig.stop_reason
+
+    def staged(prob, config, init=None):
+        stages.append(prob)
+        starts.append(init)
+        events.append("stage")
+        return solve_fn(prob, config, init=init)
+
+    def recorded_stop(cfg, dx, phi, phi_prev):
+        events.append(("stop", phi_prev))
+        return stop_reason(cfg, dx, phi, phi_prev)
+
+    monkeypatch.setattr(gcg, "solve", staged)
+    monkeypatch.setattr(gcg, "psi_value", lambda *a: events.append("psi") or psi_fn(*a))
+    monkeypatch.setattr(gcg, "_settled", lambda *a: events.append("settle") or settled_fn(*a))
+    monkeypatch.setattr(gcg, "grad_f", lambda *a: events.append("grad") or grad_fn(*a))
+    monkeypatch.setattr(GcgConfig, "stop_reason", recorded_stop)
+    solve_homotopy(_desk_problem(), GcgConfig())
+    assert [s.lam for s in stages] == [1.0, 10.0, 100.0]
+    bounds = [i for i, e in enumerate(events) if e == "stage"] + [len(events)]
+    for k, (stage, init) in enumerate(zip(stages, starts)):
+        stage_events = events[bounds[k]:bounds[k + 1]]
+        before = stage_events[1:stage_events.index("grad")]
+        assert before == ([] if k else ["psi", "settle"]), k
+        for name in objective.LAM_FREE:
+            assert vars(stage)[name] is vars(stages[0])[name], (k, name)
+        if not k:
+            continue
+        assert isinstance(init, gcg.Settled)
+        x = init.factors.product()
+        f, _, _ = dense_smooth_terms(stage, vec(x))
+        want = f + stage.mu * np.linalg.svd(x, compute_uv=False).sum()
+        phi_prev = next(e[1] for e in stage_events if isinstance(e, tuple))
+        assert abs(phi_prev - want) <= 1e-12 * abs(want), k
 
 
 def test_block_solve_on_either_side_of_the_exact_gate(rng, monkeypatch):

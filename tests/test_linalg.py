@@ -6,9 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from slrm import apps, gcg, linalg
-from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, SparseMatrix, _short_side, _svd,
-                         _thin_qr, short_side_svd, singular_values, spmv, spmv_t,
-                         top_singular_pair, unvec, vec)
+from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, TOP_PAIR_DIRECT_MAX_SIDE,
+                         SparseMatrix, _short_side, _svd, _thin_qr, short_side_svd,
+                         singular_values, spmv, spmv_t, top_singular_pair, unvec,
+                         vec)
 from slrm.objective import FactorPair, factor_svd
 from slrm.structure import block_hankel_spec, build_B, two_fold_hankel_spec
 
@@ -343,9 +344,13 @@ def _wrapped_factor_svd(factors):
 
 
 def _wrapped_top_pair(a):
+    # scipy's subset eigh up to the direct dsyevr's bound, numpy's eigh above
     s, scale, left = _short_side(a, "test")
     k = s.shape[0]
-    w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
+    if k <= TOP_PAIR_DIRECT_MAX_SIDE:
+        w = scipy.linalg.eigh(s @ s.T, subset_by_index=[k - 1, k - 1])[1][:, 0]
+    else:
+        w = np.linalg.eigh(s @ s.T)[1][:, -1]
     x = s.T @ w
     norm = float(np.linalg.norm(x))
     x = np.eye(1, s.shape[1])[0] if norm == 0.0 else x / norm
@@ -449,6 +454,24 @@ def test_singular_values_are_the_wrapped_svd(rng):
             np.testing.assert_array_equal(singular_values(a), want, err_msg=name)
             checked += 1
     assert checked >= 10
+
+
+def test_top_singular_pair_takes_dsyevr_up_to_its_bound(rng, monkeypatch):
+    # Short sides of 12, 36 and 64 (the desk, scs-31 and scs-101 lifts) take
+    # the direct dsyevr, one of 100 numpy's eigh; either way, wide or tall,
+    # the pair is the dense SVD's to 1e-12
+    sides = []
+    direct = linalg.dsyevr
+    monkeypatch.setattr(linalg, "dsyevr",
+                        lambda g, **kw: sides.append(g.shape[0]) or direct(g, **kw))
+    for k in (12, 36, 64, 100):
+        for a in (rng.standard_normal((k, k + 20)), rng.standard_normal((k + 20, k))):
+            res = top_singular_pair(a)
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            assert abs(res.sigma - s[0]) <= 1e-12 * s[0], a.shape
+            gap = np.linalg.norm(np.outer(res.u, res.v) - np.outer(u[:, 0], vt[0]))
+            assert gap <= 1e-12, a.shape
+    assert sides == [12, 12, 36, 36, 64, 64]
 
 
 def test_top_singular_pair_is_the_wrapped_subset_eigh(rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slrm import objective
 from slrm.apps import _selection_matrix
 from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
 from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
@@ -179,6 +180,45 @@ def test_grad_and_hess_vec_match_dense(rng, lam):
     np.testing.assert_allclose(replace(prob, lam=prob.lam + 2.0).hessian, stage_hess,
                                rtol=0, atol=1e-12 * np.abs(stage_hess).max())
     assert "gram" not in vars(prob.AC)
+
+
+def test_stages_share_the_lam_free_data(rng):
+    # at_lam shares every lam-free value built so far with the stage, as the
+    # same objects; each stage builds its own hessian from them, bit for bit
+    # the sum that forms it from AC's dense form and B's Gram
+    prob = random_hankel_problem(rng, j=4, k=5, lam=1.0, frac=0.6)
+    for name in ("hessian", "adjoint_target", "half_target_sq"):  # the first stage's
+        getattr(prob, name)
+    assert prob.at_lam(prob.lam) is prob
+    stages = [prob]
+    for lam in (10.0, 100.0):
+        stages.append(stages[-1].at_lam(lam))
+    for stage in stages:
+        for name in objective.LAM_FREE:
+            assert vars(stage)[name] is vars(prob)[name], name
+        want = spmv_t(stage.AC, stage.AC.to_dense()) + stage.lam * stage.B.gram.to_dense()
+        np.testing.assert_array_equal(stage.hessian, want)
+        assert not stage.hessian.flags.writeable
+    no_rows = replace(prob, B=SparseMatrix((0, prob.size)))
+    np.testing.assert_array_equal(no_rows.hessian, prob.acac)
+    assert [s.lam for s in stages] == [1.0, 10.0, 100.0]
+    assert len({id(s.hessian) for s in stages}) == 3
+    assert prob.half_target_sq == 0.5 * float(prob.target @ prob.target)
+    # nothing is shared that was not built
+    fresh = random_hankel_problem(rng, j=4, k=5, lam=1.0)
+    assert not set(objective.LAM_FREE) & set(vars(fresh.at_lam(3.0)))
+
+
+def test_dense_lift_matrices_stop_at_the_exact_lift_limit(rng):
+    # a 16 x 32 lift (512 entries) builds its hessian; a 17 x 31 one (527),
+    # like the scs-31 lift, raises before any MN x MN allocation
+    assert random_hankel_problem(rng, j=16, k=32).hessian.shape == (512, 512)
+    prob = random_hankel_problem(rng, j=17, k=31)
+    assert prob.size > objective.EXACT_LIFT_MAX_ENTRIES
+    for name in ("hessian", "acac"):
+        with pytest.raises(ValueError, match="lift of 527 entries"):
+            getattr(prob, name)
+    assert not {"hessian", "acac"} & set(vars(prob))
 
 
 def test_adjoint_target_is_cached_and_read_only(rng):
