@@ -82,7 +82,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     x_{k-1}) is AC^T r_y + lam q_y, with r_y and q_y the same combination
     of the carried terms, so the step takes one AC^T product: three sparse
     products per iteration, none with B itself.  A B without rows has a
-    zero Gram, and lam = 0 zeroes its term, as in ``_grad_vec``.
+    zero Gram, and lam = 0 zeroes its term.
 
     Rows go through the conditional-gradient ``SolveTrace.append``; here psi
     equals phi, theta is 0, sigma_top is the iterate's largest singular

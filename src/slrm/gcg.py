@@ -13,17 +13,17 @@ gradient on sparse products with AC and B's Gram.  A sweep whose V block
 was solved exactly reads its psi off that solve, with no sparse product.
 No move raises the surrogate objective psi beyond rounding.
 
-Each accepted iterate, and a cold start, settles through one thin SVD and
-one evaluation (``_settled``) to a ``Settled`` iterate.  The SVD
-re-balances the factors (``compress``), which puts the surrogate on the
-nuclear norm, so a kept compress gives |X|_* as the surrogate and the
-row's phi equals its psi.  The row, the next
+Each candidate, and a cold start, settles through one thin SVD and one
+evaluation (``_settled``) to a ``Settled`` iterate.  The SVD re-balances
+the factors (``compress``), which puts the surrogate on the nuclear norm,
+so the row's phi equals its psi.  A step's one psi test holds a candidate
+whose settled psi rises past the last row's beyond rounding: its row
+repeats the last one and ends the stage on tol_x.  The row, the next
 ``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V),
 and the tol_x step is |x_k - x_{k-1}|.  No product is taken with B
-itself, only with its Gram.  Of a Settled iterate only psi depends on
-lam, so each continuation stage starts from the one the last stage ended
-at, re-reading f from its terms, and shares the last stage's lam-free
-data (``PenaltyProblem.at_lam``).
+itself, only with its Gram.  No part of a Settled iterate depends on lam,
+so each continuation stage starts from the one the last stage ended at,
+as it is, and shares its lam-free data (``PenaltyProblem.at_lam``).
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
@@ -111,11 +111,11 @@ class GcgConfig(SolverConfig):
     it and by at most 10 steps of scipy's ``cg`` elsewhere, and stops below
     a 1e-4 relative improvement; the rank column counts values above 1e-3,
     recompression drops values at or below 1e-10, and a step that would
-    raise psi past rounding is always held.  Each row takes one thin SVD of
-    the factors: the recompress, whose kept result makes phi equal psi, or
-    without it the singular values that give |X|_*.  A rank column from
-    sigma(UV) reads those same values, and takes one more thin SVD only
-    after a kept recompress.
+    raise psi past rounding is held, which ends the stage on tol_x.  Each
+    row takes one thin SVD of the factors: the recompress, which makes phi
+    equal psi, or without it the singular values that give |X|_*.  A rank
+    column from sigma(UV) reads those same values, and takes one more thin
+    SVD only after the recompress.
     """
 
     local_search_max_steps: int = 5      # alternating sweeps per iteration
@@ -165,7 +165,7 @@ class SolveTrace:
         ``smooth_terms`` returns them; phi = f + mu * nuclear.  ``row`` holds
         the other columns, psi defaults to phi.  A non-finite phi adds no row
         and raises ``diverged``.  GCG takes nuclear from the row's one thin
-        SVD, so a kept recompress makes phi equal psi.
+        SVD, so the recompress makes phi equal psi.
         """
         f_smooth, sqloss, _ = terms
         phi = f_smooth + prob.mu * nuclear
@@ -237,36 +237,33 @@ def compress(factors: FactorPair, tol=1e-10):
 
 
 class Settled(NamedTuple):
-    """An iterate as GCG carries it: factors, psi, terms (x, AC x - b,
-    B^T B x), |X|_* and sigma, factor_svd's singular values or None.  Only
-    psi depends on lam, so a stage at another lam of the same problem can
-    start from it (``solve``)."""
+    """An iterate as GCG carries it: factors, terms (x, AC x - b, B^T B x),
+    |X|_* and sigma, factor_svd's singular values or None.  None of them
+    depends on lam, so a stage at another lam of the same problem starts
+    from it as it is (``solve``); ``_psi`` reads its psi at a lam."""
 
     factors: FactorPair
-    psi: float
     terms: tuple
     nuclear: float
     sigma: np.ndarray | None
 
 
-def _settled(prob: PenaltyProblem, factors: FactorPair, psi, recompress):
-    # The Settled iterate that factors at a finite psi settle to: their
-    # compress() unless psi rises past rounding (balanced factors sit on the
-    # nuclear norm already, where a drop of rank can go either way by
-    # rounding), evaluated once by _iterate_terms.  A kept compress reads psi
-    # from those terms and |X|_* as its surrogate, and sigma is None: its SVD
-    # was of the factors before.  Else sigma is factor_svd's singular values
-    # of the returned factors, |X|_* their sum.
+def _settled(prob: PenaltyProblem, factors: FactorPair, recompress):
+    # The Settled iterate of finite factors, evaluated once by
+    # _iterate_terms: their compress(), with |X|_* its surrogate and sigma
+    # None (its SVD was of the factors before), or without the recompress
+    # the factors themselves, with sigma factor_svd's singular values and
+    # |X|_* their sum.
     if recompress:
         packed = compress(factors)
-        terms = _iterate_terms(prob, packed)
-        nuclear = packed.surrogate()
-        psi_packed = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
-        if psi_packed <= psi + PSI_SLACK:
-            return Settled(packed, psi_packed, terms, nuclear, None)
+        return Settled(packed, _iterate_terms(prob, packed), packed.surrogate(), None)
     sigma = factor_svd(factors)[1]
-    return Settled(factors, psi, _iterate_terms(prob, factors), float(sigma.sum()),
-                   sigma)
+    return Settled(factors, _iterate_terms(prob, factors), float(sigma.sum()), sigma)
+
+
+def _psi(prob: PenaltyProblem, s: Settled):
+    # psi at a Settled iterate: f read off its terms plus mu times the surrogate
+    return smooth_terms_from(prob, *s.terms)[0] + prob.mu * s.factors.surrogate()
 
 
 def _block_normal(prob: PenaltyProblem, u, v, side):
@@ -382,15 +379,14 @@ def local_search(prob: PenaltyProblem, factors, psi, budget, rel_floor=1e-4):
     exact V solve that psi is read from the solve itself (``_solved_psi``,
     as in softImpute-ALS's alternating ridge); after a CG one, or a K that
     was not positive definite, it is ``psi_value``.  The returned psi is
-    always ``psi_value`` of the returned factors, one more call if the last
-    sweep was exact.  Every CG step started at the block lowers its
-    quadratic, so a CG block that stops early still descends.  Never
-    returns a point with psi above the given one beyond rounding; stops on
-    the sweep budget, which a rank-0 pair skips, or a relative improvement
-    below rel_floor.
+    that of the last sweep, or the given one if none ran; ``solve`` reads
+    it only to test that the factors are finite.  Every CG step started at
+    the block lowers its quadratic, so a CG block that stops early still
+    descends.  Never returns a point with psi above the given one beyond
+    rounding; stops on the sweep budget, which a rank-0 pair skips, or a
+    relative improvement below rel_floor.
     """
     u, v = factors.U, factors.V
-    rhs = None
     for _ in range(budget if factors.rank else 0):
         psi_sweep = psi
         u, _ = _block_step(prob, u, v, "u")
@@ -399,8 +395,6 @@ def local_search(prob: PenaltyProblem, factors, psi, budget, rel_floor=1e-4):
                else _solved_psi(prob, u, v, rhs))
         if psi_sweep - psi <= rel_floor * max(1e-30, abs(psi)):
             break
-    if rhs is not None:
-        psi = psi_value(prob, FactorPair(u, v))
     return FactorPair(u, v), psi
 
 
@@ -426,28 +420,27 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     all-ones matrix, which settles first (``_settled``), or the ``Settled``
     iterate a stage of the same problem at another lam ended at
     (``trace.warm_start``, which ``_continuation`` passes on).  That one
-    starts as it is: its terms, |X|_* and sigma hold at any lam, so only f
-    is re-read from them.  Raises DivergedError (carrying the partial
-    trace) if the objective goes non-finite.
+    starts as it is, with psi and phi read off its terms at this lam.  A
+    held step's row repeats the last one with theta 0 and a step of 0, so
+    it ends the stage on tol_x.  Raises DivergedError (carrying the partial
+    trace) if the objective goes non-finite, a candidate's before the hold.
     """
     if config is None:
         config = GcgConfig()
     config.validate()
     trace = SolveTrace()
     if isinstance(init, Settled):
-        f = smooth_terms_from(prob, *init.terms)[0]
-        start = init._replace(psi=f + prob.mu * init.factors.surrogate())
+        start = init
     else:
         factors = init if init is not None else FactorPair.ones(prob.rows, prob.cols)
         if factors.shape != (prob.rows, prob.cols):
             raise ValueError("initializer shape does not match the problem")
-        psi_prev = psi_value(prob, factors)
-        if not np.isfinite(psi_prev):  # before the settle, whose SVD needs finite factors
+        if not np.isfinite(psi_value(prob, factors)):  # before the settle's SVD
             raise trace.diverged("non-finite objective at the initial point")
-        start = _settled(prob, factors, psi_prev, config.recompress)
-        f = smooth_terms_from(prob, *start.terms)[0]
-    factors, psi_prev, terms, nuclear, sigma = start
-    phi_prev = f + prob.mu * nuclear
+        start = _settled(prob, factors, config.recompress)
+    factors, terms, nuclear, sigma = start
+    psi_prev = _psi(prob, start)
+    phi_prev = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
 
     for k in range(1, config.max_iter + 1):
         g = grad_f(prob, factors, terms)
@@ -455,15 +448,17 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         a, theta, psi_cand = step_model(prob, factors, pair.u, pair.v, terms).minimize()
         cand = _augment(factors.scaled(np.sqrt(a)), pair.u, pair.v, theta)
         cand, psi_cand = local_search(prob, cand, psi_cand, config.local_search_max_steps)
-        if not np.isfinite(psi_cand):  # before the settle and the hold
+        if not np.isfinite(psi_cand):  # before the settle's SVD
             raise trace.diverged(f"non-finite objective at iteration {k}")
-        settled = _settled(prob, cand, psi_cand, config.recompress)
-        held = settled.psi > psi_prev + PSI_SLACK
-        if held:
-            theta = 0.0  # only rounding gets here; the row repeats the last one
+        settled = _settled(prob, cand, config.recompress)
+        psi = _psi(prob, settled)
+        if not np.isfinite(psi):  # the sweep's psi can be finite where this overflows
+            raise trace.diverged(f"non-finite objective at iteration {k}")
+        if psi > psi_prev + PSI_SLACK:
+            theta = dx = 0.0  # only rounding gets here; the row repeats the last one
         else:
             dx = np.linalg.norm(settled.terms[0] - terms[0])  # |X_k - X_{k-1}|_F
-            factors, psi_prev, terms, nuclear, sigma = settled
+            psi_prev, (factors, terms, nuclear, sigma) = psi, settled
 
         if config.track_structured_rank:
             rank = structured_rank(prob, terms[0])
@@ -472,13 +467,12 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         phi = trace.append(prob, smooth_terms_from(prob, *terms), nuclear,
                            psi=psi_prev, theta=theta, sigma_top=pair.sigma,
                            rank=rank, factor_rank=factors.rank)
-        # a held step is not convergence, only zero motion
-        reason = "" if held else config.stop_reason(dx, phi, phi_prev)
+        reason = config.stop_reason(dx, phi, phi_prev)
         phi_prev = phi
         if trace.stop(reason):
             break
 
-    trace.warm_start = Settled(factors, psi_prev, terms, nuclear, sigma)
+    trace.warm_start = Settled(factors, terms, nuclear, sigma)
     trace.finish()
     return factors, trace
 
@@ -512,12 +506,17 @@ def _continuation(solve_fn, prob: PenaltyProblem, config, init):
     # One solve_fn(stage, config, init=...) per lam_stages weight.  Each
     # stage is the last one's at_lam, so its lam-free data (objective's
     # LAM_FREE) is built once, and warm starts from the last one's
-    # trace.warm_start.  The terminal trace's wall_time_s covers all stages.
+    # trace.warm_start.  The terminal trace's wall_time_s covers all stages,
+    # also when that stage diverged.
     stage, start, trace = prob, init, None
     total = 0.0
     for lam in lam_stages(prob.lam, config.lam_growth, config.lam_max):
         stage = stage.at_lam(lam)
-        result, trace = solve_fn(stage, config, init=start)
+        try:
+            result, trace = solve_fn(stage, config, init=start)
+        except DivergedError as exc:  # every raise carries its stage's trace
+            exc.trace.wall_time_s += total
+            raise
         start = trace.warm_start
         total += trace.wall_time_s
     trace.wall_time_s = total

@@ -226,10 +226,6 @@ def _grad_from(prob: PenaltyProblem, resid, gram_x):
     return spmv_t(prob.AC, resid) + prob.lam * gram_x
 
 
-def _grad_vec(prob: PenaltyProblem, x):
-    return _grad_from(prob, *affine_terms(prob, x))
-
-
 def _hess_vec(prob: PenaltyProblem, x):
     """``(AC^T AC + lam B^T B) x`` on vec space, x one vector or columns.
 

@@ -10,7 +10,7 @@ from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
 from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank
 from slrm.linalg import SparseMatrix, spmv, spmv_t, unvec, vec
-from slrm.objective import _grad_vec, _hess_vec, assemble, smooth_terms
+from slrm.objective import _grad_from, _hess_vec, affine_terms, assemble, smooth_terms
 from slrm.structure import hankel_spec
 
 from conftest import (assorted_specs, dense_smooth_terms, observed_problems,
@@ -316,7 +316,8 @@ def _direct_gradient_apg(prob, iters):
     x_prev = np.ones((prob.rows, prob.cols))
     y, t_mom, out = x_prev, 1.0, []
     for _ in range(iters):
-        z = y - step * unvec(_grad_vec(prob, vec(y)), prob.rows, prob.cols)
+        grad = _grad_from(prob, *affine_terms(prob, vec(y)))
+        z = y - step * unvec(grad, prob.rows, prob.cols)
         x_new = svt(z, prob.mu * step)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x_prev)

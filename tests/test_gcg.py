@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 from slrm import apps, gcg, objective
 from slrm.gcg import (PSI_SLACK, DivergedError, GcgConfig, SolveTrace,
-                      TraceRecord, _augment, _block_cg, _settled, compress,
+                      TraceRecord, _augment, _block_cg, _psi, _settled, compress,
                       lam_stages, local_search, rank_estimate, recover_y,
                       solve, solve_homotopy, structured_rank)
 from slrm.linalg import SparseMatrix, spmv, spmv_t, top_singular_pair, unvec, vec
@@ -77,7 +77,9 @@ def test_compress_preserves_product(rng):
 def test_local_search_descends_psi(rng, monkeypatch):
     # psi after every block that _block_step returns, spied on, never rises,
     # whether solved exactly (4 x 5 lift) or by CG (46 x 45); the search
-    # returns its last value and leaves the given factors as they were
+    # returns its last sweep's psi and leaves the given factors as they
+    # were.  That psi is psi_value after a CG sweep, and the closed form
+    # after an exact one, equal to it to 1e-13 max(1, |b|^2/2).
     blocks = []
     block_step = gcg._block_step
 
@@ -106,7 +108,11 @@ def test_local_search_descends_psi(rng, monkeypatch):
         assert len(blocks) >= 4, (j, k)
         assert all(b <= a + 1e-10 for a, b in zip(history, history[1:])), (j, k)
         np.testing.assert_array_equal(out.product(), u @ v)
-        assert psi == history[-1] == psi_value(prob, out)
+        assert history[-1] == psi_value(prob, out)
+        if gcg._exact_block(prob, v.size):
+            assert abs(psi - history[-1]) <= 1e-13 * max(1.0, prob.half_target_sq)
+        else:
+            assert psi == history[-1], (j, k)
         assert psi < history[0]  # random start leaves room to move
 
 
@@ -235,10 +241,11 @@ def _desk_problem():
 
 
 def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
-    # The first _settled call packs the initializer; each later one returns
-    # an iteration's candidate psi, which a hold would reject for rising past
-    # the previous row's psi.  theta = 0 is no sign of a hold:
-    # near sigma_top = mu it is the step model's own optimum.
+    # The first _settled call packs the initializer; each later one settles
+    # an iteration's candidate, whose psi a hold would reject for rising past
+    # the previous row's psi.  No step is held, so every row's psi is its
+    # candidate's.  theta = 0 is no sign of a hold: near sigma_top = mu it
+    # is the step model's own optimum.
     prob = _desk_problem()
     calls = []
     packed_psi = []
@@ -247,9 +254,9 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
         calls.append(1)
         return local_search(*args, **kwargs)
 
-    def spied(*args, **kwargs):
-        out = _settled(*args, **kwargs)
-        packed_psi.append(out[1])
+    def spied(p, *args):
+        out = _settled(p, *args)
+        packed_psi.append(_psi(p, out))
         return out
 
     monkeypatch.setattr(gcg, "local_search", counted)
@@ -264,6 +271,7 @@ def test_solve_runs_one_local_search_per_iteration_and_never_holds(monkeypatch):
         assert len(packed_psi) == len(trace.records) + 1
         previous = np.concatenate([packed_psi[:1], psi[:-1]])
         assert np.all(np.array(packed_psi[1:]) <= previous + PSI_SLACK)
+        assert psi.tolist() == packed_psi[1:]
         assert np.all(np.diff(psi) <= PSI_SLACK)
 
 
@@ -341,9 +349,27 @@ def test_gcg_rows_match_a_dense_evaluation_at_their_iterates(rng, lam, settings)
                                        err_msg=f"{name}, row {row.iteration}")
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_recompressed_rows_have_phi_equal_to_psi(rng, lam):
+    # The recompress settles every iterate on the nuclear norm, so a row's
+    # phi (f + mu |X|_*) and psi (f + mu times the surrogate) are the same
+    # sum of the same numbers: equal bit for bit, in a plain solve with and
+    # without stopping or the local search, and in every continuation stage
+    # (the warm stages read psi off the carried iterate at their own lam).
+    for name, prob in observed_problems(rng, lam):
+        for cfg in (GcgConfig(max_iter=8),
+                    GcgConfig(max_iter=8, tol_x=1e-300, tol_obj=1e-300,
+                              local_search_max_steps=0)):
+            _, trace = solve(prob, cfg)
+            assert trace.column("phi").tolist() == trace.column("psi").tolist(), name
+        _, trace = solve_homotopy(prob, GcgConfig(max_iter=8))
+        assert trace.column("phi").tolist() == trace.column("psi").tolist(), name
+
+
 def _inflated_from_the_third_call(calls):
     # local_search, but from its third call (counted in calls) on it returns
-    # its result scaled by sqrt(10) with that point's psi, which rises
+    # its result scaled by sqrt(10) with that point's psi, which rises, and
+    # so does the psi it settles to
     def inflated(p, factors, psi, budget):
         calls.append(1)
         out, psi = local_search(p, factors, psi, budget)
@@ -356,7 +382,7 @@ def _inflated_from_the_third_call(calls):
 
 def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
     # From the third call on the local search returns its result scaled by
-    # sqrt(10) with that point's psi, which rises: every later step is held.
+    # sqrt(10) with that point's psi, which rises: the third step is held.
     # A held row repeats the previous iterate, its evaluation and its
     # |X|_*, with theta 0, and the solve returns that iterate.  A zero
     # iterate (zeros_and_singletons) scales to itself: it is not held but
@@ -375,12 +401,35 @@ def test_a_held_step_repeats_the_previous_row(rng, monkeypatch):
             assert trace.converged_reason == "tol_x" and len(trace.records) == 2, name
             continue
         held += 1
-        assert len(trace.records) == 5, name
-        for row in trace.records[2:]:
-            assert row.theta == 0.0, (name, row.iteration)
-            for col in ("phi", "f_smooth", "square_loss", "psi", "rank", "factor_rank"):
-                assert getattr(row, col) == getattr(second, col), (name, row.iteration, col)
+        row = trace.records[2]
+        assert row.theta == 0.0, name
+        for col in ("phi", "f_smooth", "square_loss", "psi", "rank", "factor_rank"):
+            assert getattr(row, col) == getattr(second, col), (name, col)
         np.testing.assert_array_equal(fac.product(), fac_2.product(), err_msg=name)
+    assert held == 5
+
+
+def test_a_held_step_ends_its_stage_on_tol_x(rng, monkeypatch):
+    # With stopping off and 50 iterations allowed, the inflated local search
+    # (above) holds each problem's third step.  The held row is the stage's
+    # last: theta 0, the phi, psi, rank and factor rank of the row before,
+    # and the stage ends on tol_x, its step being 0, with no local search
+    # after it.  A zero second iterate is not held (see above).
+    calls = []
+    monkeypatch.setattr(gcg, "local_search", _inflated_from_the_third_call(calls))
+    held = 0
+    for name, prob in observed_problems(rng, 1.3):
+        calls.clear()
+        _, trace = solve(prob, GcgConfig(max_iter=50, tol_x=1e-300, tol_obj=1e-300))
+        rows = trace.records
+        assert trace.converged_reason == "tol_x", name
+        if rows[1].factor_rank == 0:
+            continue
+        held += 1
+        assert len(rows) == len(calls) == 3, name
+        assert rows[2].theta == 0.0, name
+        for col in ("phi", "psi", "rank", "factor_rank"):
+            assert getattr(rows[2], col) == getattr(rows[1], col), (name, col)
     assert held == 5
 
 
@@ -388,9 +437,9 @@ def test_unbalanced_rows_read_their_rank_from_the_settles_svd(rng, monkeypatch):
     # Without the recompress and the structured rank (acceptance 12's
     # settings) each settle takes one thin SVD, a QR pair unless the iterate
     # is zero, and the row's rank column reads its singular values: no
-    # second SVD.  The inflated local search holds rows 3-5 (as in the test
-    # above), which read the singular values of row 2's iterate, not of their
-    # candidate.
+    # second SVD.  The inflated local search holds row 3 (as in the tests
+    # above), the last, which reads the singular values of row 2's iterate,
+    # not of its candidate.
     svd_ranks, qrs, sigmas, calls = [], [], [], []
     svd, qr, estimate = gcg.factor_svd, objective._thin_qr, gcg.rank_estimate
     monkeypatch.setattr(gcg, "factor_svd", lambda f: svd_ranks.append(f.rank) or svd(f))
@@ -413,30 +462,44 @@ def test_unbalanced_rows_read_their_rank_from_the_settles_svd(rng, monkeypatch):
         if rows[1].factor_rank == 0:  # a zero iterate is not held (see above)
             continue
         held += 1
-        assert len(rows) == 5 and all(row.theta == 0.0 for row in rows[2:]), name
-        assert all(s is sigmas[1] for s in sigmas[2:]), name
+        assert len(rows) == 3 and rows[2].theta == 0.0, name
+        assert sigmas[2] is sigmas[1], name
     assert held == 5
 
 
-def test_a_rejected_or_skipped_compress_keeps_the_factors(rng):
-    # Unbalanced factors settle to themselves when their compress would raise
-    # psi past rounding, and without the recompress: the same object, its
-    # own evaluation, and |X|_* from the thin SVD rather than the surrogate.
+def test_a_rejected_or_skipped_compress_keeps_the_factors(rng, monkeypatch):
+    # Without the recompress, unbalanced factors settle to themselves: the
+    # same object, its own evaluation, and |X|_* from the thin SVD rather
+    # than the surrogate.  With it the settle always compresses, evaluating
+    # the compressed factors, with |X|_* their surrogate and sigma None (its
+    # SVD was of fac).  A compressed candidate whose psi rises past the last
+    # row's is rejected by the step hold, and the solve keeps the factors of
+    # the last accepted settle: the inflated local search's third (above).
     prob = random_hankel_problem(rng, j=4, k=5, lam=0.9, mu=0.3)
     fac = FactorPair(rng.standard_normal((4, 3)), 3.0 * rng.standard_normal((3, 5)))
     nuclear = np.linalg.svd(fac.product(), compute_uv=False).sum()
     assert fac.surrogate() > 1.1 * nuclear
-    below_packed = psi_value(prob, compress(fac)) - 1e-9
-    for psi, recompress in ((below_packed, True), (psi_value(prob, fac), False)):
-        out, psi_out, terms, got, sigma = _settled(prob, fac, psi, recompress)
-        assert out is fac and psi_out == psi, recompress
-        for part, want in zip(terms, _iterate_terms(prob, fac), strict=True):
-            np.testing.assert_array_equal(part, want)
-        assert abs(got - nuclear) <= 1e-12 * nuclear, recompress
-        np.testing.assert_array_equal(sigma, factor_svd(fac)[1])
-        assert got == float(sigma.sum()), recompress
-    packed, *_, sigma = _settled(prob, fac, psi_value(prob, fac), True)
-    assert packed is not fac and sigma is None  # a kept compress: its SVD was of fac
+    out, terms, got, sigma = _settled(prob, fac, False)
+    assert out is fac
+    for part, want in zip(terms, _iterate_terms(prob, fac), strict=True):
+        np.testing.assert_array_equal(part, want)
+    assert abs(got - nuclear) <= 1e-12 * nuclear
+    np.testing.assert_array_equal(sigma, factor_svd(fac)[1])
+    assert got == float(sigma.sum())
+    packed, terms, got, sigma = _settled(prob, fac, True)
+    assert packed is not fac and sigma is None
+    for part, want in zip(terms, _iterate_terms(prob, packed), strict=True):
+        np.testing.assert_array_equal(part, want)
+    assert got == packed.surrogate() and abs(got - nuclear) <= 1e-12 * nuclear
+    settles, calls = [], []
+    monkeypatch.setattr(gcg, "_settled",
+                        lambda *args: settles.append(_settled(*args)) or settles[-1])
+    monkeypatch.setattr(gcg, "local_search", _inflated_from_the_third_call(calls))
+    kept, trace = solve(prob, GcgConfig(max_iter=5, tol_x=1e-300, tol_obj=1e-300))
+    assert len(settles) == 4 and len(trace.records) == 3
+    assert _psi(prob, settles[3]) > _psi(prob, settles[2]) + PSI_SLACK
+    assert kept is settles[2].factors
+    assert all(a is b for a, b in zip(trace.warm_start, settles[2], strict=True))
 
 
 def test_unconverged_atoms_cannot_raise_psi(rng, monkeypatch):
@@ -485,7 +548,7 @@ def test_factor_rank_stays_within_the_short_side(rng):
 def test_the_tol_x_step_is_the_distance_of_consecutive_iterates(rng, monkeypatch):
     # stop_reason receives dx = |X_k - X_{k-1}|_F of consecutive accepted
     # iterates.  They are the start and the candidates _settled returns that
-    # do not raise psi past rounding (a hold makes no stop test).
+    # do not raise psi past rounding; a held step passes dx = 0.
     settles, steps = [], []
     settled, stop_reason = gcg._settled, GcgConfig.stop_reason
     monkeypatch.setattr(gcg, "_settled",
@@ -496,12 +559,14 @@ def test_the_tol_x_step_is_the_distance_of_consecutive_iterates(rng, monkeypatch
         settles.clear()
         steps.clear()
         solve(prob, GcgConfig(max_iter=8, tol_x=1e-300, tol_obj=1e-300))
-        accepted = [settles[0]]
+        accepted, want = settles[0], []
         for cand in settles[1:]:
-            if cand[1] <= accepted[-1][1] + PSI_SLACK:
-                accepted.append(cand)
-        want = [np.linalg.norm(b[0].product() - a[0].product())
-                for a, b in zip(accepted, accepted[1:])]
+            if _psi(prob, cand) <= _psi(prob, accepted) + PSI_SLACK:
+                want.append(np.linalg.norm(cand.factors.product()
+                                           - accepted.factors.product()))
+                accepted = cand
+            else:
+                want.append(0.0)
         assert len(steps) == len(want) > 0, name
         np.testing.assert_allclose(steps, want, rtol=1e-12, atol=0, err_msg=name)
 
@@ -608,6 +673,30 @@ def test_a_nonfinite_local_search_diverges(rng, monkeypatch, bad):
     assert np.all(np.isfinite(trace.column("phi")))
 
 
+def test_a_finite_sweep_psi_whose_settle_overflows_diverges(rng, monkeypatch):
+    # From the third call on the local search returns its factors scaled by
+    # 1e100 with its finite sweep psi, as a closed form can stay finite: U V
+    # is finite, so the settle's SVD runs, but f at it overflows to +inf (B
+    # has no rows, so no inf - inf makes it NaN).  The run ends as diverged
+    # at that iteration, not on a held step.
+    prob = random_hankel_problem(rng, j=4, k=5, mu=0.2)
+    prob = replace(prob, B=SparseMatrix((0, prob.size)))
+    calls = []
+
+    def overflowing(p, factors, psi, budget):
+        calls.append(1)
+        out, psi = local_search(p, factors, psi, budget)
+        return (out if len(calls) < 3 else out.scaled(1e100)), psi
+
+    monkeypatch.setattr(gcg, "local_search", overflowing)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError,
+                                                  match="at iteration 3") as exc:
+        solve(prob, GcgConfig(max_iter=50, tol_x=1e-300, tol_obj=1e-300))
+    trace = exc.value.trace
+    assert trace.converged_reason == "diverged"
+    assert [r.iteration for r in trace.records] == [1, 2]
+
+
 def test_solve_without_local_search_still_descends(rng):
     prob = random_hankel_problem(rng, j=4, k=4, mu=0.2)
     cfg = GcgConfig(max_iter=30, seed=1, local_search_max_steps=0)
@@ -688,6 +777,29 @@ def test_solve_homotopy_matches_manual_stages(rng, monkeypatch):
     assert tr_h.wall_time_s == total
 
 
+def test_a_diverged_stage_reports_the_time_of_every_stage(rng):
+    # A continuation whose second lam stage diverges (from a non-finite
+    # start) raises with that stage's trace, whose wall_time_s covers both
+    # stages: their times, added in stage order.
+    prob = random_hankel_problem(rng, j=4, k=5, lam=1.0, mu=0.2)
+    nan_start = FactorPair(np.full((4, 1), np.nan), np.ones((1, 5)))
+    stage_times = []
+
+    def diverging(stage, config, init=None):
+        try:
+            fac, trace = solve(stage, config, init=nan_start if stage_times else init)
+        except DivergedError as exc:
+            stage_times.append(exc.trace.wall_time_s)
+            raise
+        stage_times.append(trace.wall_time_s)
+        return fac, trace
+
+    with pytest.raises(DivergedError, match="initial point") as exc:
+        gcg._continuation(diverging, prob, GcgConfig(max_iter=5), None)
+    assert len(stage_times) == 2 and exc.value.trace.records == []
+    assert exc.value.trace.wall_time_s == stage_times[0] + stage_times[1]
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 30.0, "no B rows"])
 def test_exact_block_solves_match_the_dense_normal_equations(rng, lam):
     # On the desk lift and a two-fold one (12 x 9), at factor ranks 1, 3 and
@@ -731,9 +843,10 @@ def test_an_exact_v_solve_gives_psi_in_closed_form(rng, monkeypatch, scale):
     # After an exact V solve K vec(V) = rhs, psi = |b|^2/2 - <rhs, V>/2 +
     # mu |U|_F^2/2 (_solved_psi) matches psi_value to 1e-13 max(1, |b|^2/2)
     # on the desk lift at ranks 1-7 and lam 1, 10 and 100, also with b
-    # scaled by 1e3.  A search of exact sweeps evaluates psi_value once, for
-    # the psi it returns.  A K that is not positive definite leaves V
-    # unsolved, and its sweep reads psi_value instead.
+    # scaled by 1e3.  A search of exact sweeps makes no psi_value call: it
+    # returns its last sweep's closed form, to the same bound.  A K that is
+    # not positive definite leaves V unsolved, and its sweep reads psi_value
+    # instead.
     desk = _desk_problem()
     desk = replace(desk, target=scale * desk.target)
     for lam in (1.0, 10.0, 100.0):
@@ -750,7 +863,7 @@ def test_an_exact_v_solve_gives_psi_in_closed_form(rng, monkeypatch, scale):
     monkeypatch.setattr(gcg, "psi_value", lambda *a: calls.append(1) or psi_value(*a))
     start = FactorPair(rng.standard_normal((12, 3)), rng.standard_normal((3, 16)))
     out, psi = local_search(prob, start, psi_value(prob, start), budget=5)
-    assert len(calls) == 1 and psi == psi_value(prob, out)
+    assert not calls and abs(psi - psi_value(prob, out)) <= tol
     monkeypatch.setattr(gcg, "_cholesky_solve", lambda k, rhs, x0: x0)
     monkeypatch.setattr(gcg, "_solved_psi",
                         lambda *a: pytest.fail("closed form read after a failed solve"))

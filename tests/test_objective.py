@@ -10,7 +10,7 @@ from slrm import objective
 from slrm.apps import _selection_matrix
 from slrm.linalg import SparseMatrix, spmv_t, unvec, vec
 from slrm.objective import (FactorPair, PenaltyProblem, UnboundedDirectionError,
-                            _grad_vec, _hess_vec, affine_terms, assemble,
+                            _grad_from, _hess_vec, affine_terms, assemble,
                             f_value, factor_svd, grad_f, psi_value, smooth_terms,
                             smooth_terms_from, step_model)
 from slrm.structure import apply_structure, build_B, build_C, hankel_spec
@@ -168,8 +168,8 @@ def test_grad_and_hess_vec_match_dense(rng, lam):
     scale = np.linalg.norm(hess @ x) + np.linalg.norm(ac.T @ prob.target)
     np.testing.assert_allclose(_hess_vec(prob, x), hess @ x, rtol=0,
                                atol=1e-12 * scale)
-    np.testing.assert_allclose(_grad_vec(prob, x), hess @ x - ac.T @ prob.target,
-                               rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(_grad_from(prob, *affine_terms(prob, x)),
+                               hess @ x - ac.T @ prob.target, rtol=0, atol=1e-12 * scale)
     block = rng.standard_normal((prob.size, 5))
     want = np.column_stack([_hess_vec(prob, col) for col in block.T])
     np.testing.assert_array_equal(_hess_vec(prob, block), want)
