@@ -14,16 +14,17 @@ was solved exactly reads its psi off that solve, with no sparse product.
 No move raises the surrogate objective psi beyond rounding.
 
 Each candidate, and a cold start, settles through one thin SVD and one
-evaluation (``_settled``) to a ``Settled`` iterate.  The SVD re-balances
-the factors (``compress``), which puts the surrogate on the nuclear norm,
-so the row's phi equals its psi.  A step's one psi test holds a candidate
-whose settled psi rises past the last row's beyond rounding: its row
-repeats the last one and ends the stage on tol_x.  The row, the next
+evaluation (``_settled``) to a ``Settled`` iterate, in every configuration.
+The SVD re-balances the factors (``compress``), which puts the surrogate on
+the nuclear norm, so the row's phi equals its psi; its singular values give
+a rank column read from sigma(U V).  A step's one psi test holds a
+candidate whose settled psi rises past the last row's beyond rounding: its
+row repeats the last one and ends the stage on tol_x.  The row, the next
 ``grad_f`` and ``step_model`` read the ``affine_terms`` of x = vec(U V),
-and the tol_x step is |x_k - x_{k-1}|.  No product is taken with B
-itself, only with its Gram.  No part of a Settled iterate depends on lam,
-so each continuation stage starts from the one the last stage ended at,
-as it is, and shares its lam-free data (``PenaltyProblem.at_lam``).
+and the tol_x step is |x_k - x_{k-1}|.  No product is taken with B itself,
+only with its Gram.  No part of a Settled iterate depends on lam, so each
+continuation stage starts from the one the last stage ended at, as it is,
+and shares its lam-free data (``PenaltyProblem.at_lam``).
 
 Both this solver and the proximal baseline record their iterates through
 ``SolveTrace.append`` and read the structured rank through
@@ -114,8 +115,7 @@ class GcgConfig(SolverConfig):
     raise psi past rounding is held, which ends the stage on tol_x.  Each
     row takes one thin SVD of the factors: the recompress, which makes phi
     equal psi, or without it the singular values that give |X|_*.  A rank
-    column from sigma(UV) reads those same values, and takes one more thin
-    SVD only after the recompress.
+    column from sigma(UV) reads the values that SVD kept.
     """
 
     local_search_max_steps: int = 5      # alternating sweeps per iteration
@@ -228,35 +228,34 @@ def structured_rank(prob: PenaltyProblem, x):
 def compress(factors: FactorPair, tol=1e-10):
     """Re-factor through the thin SVD, dropping singular values <= tol.
 
-    The result is balanced, so its surrogate equals the nuclear norm.
+    Returns the balanced factors, whose surrogate is |X|_*, and the values kept.
     """
     left, s, right = factor_svd(factors)
     keep = s > tol
     root = np.sqrt(s[keep])
-    return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :])
+    return FactorPair(left[:, keep] * root, root[:, None] * right[keep, :]), s[keep]
 
 
 class Settled(NamedTuple):
     """An iterate as GCG carries it: factors, terms (x, AC x - b, B^T B x),
-    |X|_* and sigma, factor_svd's singular values or None.  None of them
+    |X|_* and sigma, the singular values of its one thin SVD.  None of them
     depends on lam, so a stage at another lam of the same problem starts
     from it as it is (``solve``); ``_psi`` reads its psi at a lam."""
 
     factors: FactorPair
     terms: tuple
     nuclear: float
-    sigma: np.ndarray | None
+    sigma: np.ndarray
 
 
 def _settled(prob: PenaltyProblem, factors: FactorPair, recompress):
-    # The Settled iterate of finite factors, evaluated once by
-    # _iterate_terms: their compress(), with |X|_* its surrogate and sigma
-    # None (its SVD was of the factors before), or without the recompress
-    # the factors themselves, with sigma factor_svd's singular values and
-    # |X|_* their sum.
+    # The Settled iterate of finite factors, after one thin SVD, whose values
+    # are sigma, and one evaluation (_iterate_terms): their compress(), |X|_*
+    # its surrogate, or without the recompress the factors themselves, |X|_*
+    # the sum of sigma.
     if recompress:
-        packed = compress(factors)
-        return Settled(packed, _iterate_terms(prob, packed), packed.surrogate(), None)
+        packed, sigma = compress(factors)
+        return Settled(packed, _iterate_terms(prob, packed), packed.surrogate(), sigma)
     sigma = factor_svd(factors)[1]
     return Settled(factors, _iterate_terms(prob, factors), float(sigma.sum()), sigma)
 
@@ -423,7 +422,8 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     starts as it is, with psi and phi read off its terms at this lam.  A
     held step's row repeats the last one with theta 0 and a step of 0, so
     it ends the stage on tol_x.  Raises DivergedError (carrying the partial
-    trace) if the objective goes non-finite, a candidate's before the hold.
+    trace) if the objective goes non-finite: the start's psi at this lam (a
+    cold start's surrogate before its SVD), or a candidate's before the hold.
     """
     if config is None:
         config = GcgConfig()
@@ -435,11 +435,13 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         factors = init if init is not None else FactorPair.ones(prob.rows, prob.cols)
         if factors.shape != (prob.rows, prob.cols):
             raise ValueError("initializer shape does not match the problem")
-        if not np.isfinite(psi_value(prob, factors)):  # before the settle's SVD
+        if not np.isfinite(factors.surrogate()):  # it bounds the SVD core's entries
             raise trace.diverged("non-finite objective at the initial point")
         start = _settled(prob, factors, config.recompress)
     factors, terms, nuclear, sigma = start
     psi_prev = _psi(prob, start)
+    if not np.isfinite(psi_prev):  # cold data that overflow, or a warm lam
+        raise trace.diverged("non-finite objective at the initial point")
     phi_prev = smooth_terms_from(prob, *terms)[0] + prob.mu * nuclear
 
     for k in range(1, config.max_iter + 1):
@@ -463,7 +465,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
         if config.track_structured_rank:
             rank = structured_rank(prob, terms[0])
         else:
-            rank = rank_estimate(factor_svd(factors)[1] if sigma is None else sigma)
+            rank = rank_estimate(sigma)
         phi = trace.append(prob, smooth_terms_from(prob, *terms), nuclear,
                            psi=psi_prev, theta=theta, sigma_top=pair.sigma,
                            rank=rank, factor_rank=factors.rank)
@@ -477,7 +479,7 @@ def solve(prob: PenaltyProblem, config: GcgConfig | None = None, init=None):
     return factors, trace
 
 
-def lam_stages(lam, growth=10.0, lam_max=100.0):
+def lam_stages(lam, growth, lam_max):
     """Geometric continuation weights from lam up to at most lam_max.
 
     lam = 0 never grows, so it is a single stage.

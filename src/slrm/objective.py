@@ -48,13 +48,9 @@ class FactorPair:
     def product(self):
         return self.U @ self.V
 
-    def norms_sq(self):
-        return float(np.sum(self.U * self.U)), float(np.sum(self.V * self.V))
-
     def surrogate(self):
         """Variational upper bound on the nuclear norm of U @ V."""
-        nu, nv = self.norms_sq()
-        return 0.5 * (nu + nv)
+        return 0.5 * (float(np.sum(self.U * self.U)) + float(np.sum(self.V * self.V)))
 
     def scaled(self, c):
         return FactorPair(c * self.U, c * self.V)

@@ -62,16 +62,21 @@ def test_structured_rank_on_an_exact_structure(rng):
 
 
 def test_compress_preserves_product(rng):
+    # compress returns the balanced factors and the singular values it kept:
+    # factor_svd's values above the tolerance, one per column of U
     for r in (1, 4, 16):  # 16 exceeds both dimensions of a 6 x 4 matrix
         fac = FactorPair(rng.standard_normal((6, r)), rng.standard_normal((r, 4)))
-        packed = compress(fac)
+        packed, sigma = compress(fac)
         np.testing.assert_allclose(packed.product(), fac.product(), atol=1e-10)
         assert packed.rank <= min(6, 4)
+        s = factor_svd(fac)[1]
+        np.testing.assert_array_equal(sigma, s[s > 1e-10])
+        assert sigma.size == packed.rank
         # balanced factors: the surrogate collapses onto the nuclear norm
         nuc = np.linalg.svd(fac.product(), compute_uv=False).sum()
         assert packed.surrogate() == pytest.approx(nuc, abs=1e-9)
-    zero = compress(FactorPair(np.zeros((3, 2)), np.zeros((2, 5))))
-    assert zero.rank == 0 and zero.shape == (3, 5)
+    zero, sigma = compress(FactorPair(np.zeros((3, 2)), np.zeros((2, 5))))
+    assert zero.rank == 0 and zero.shape == (3, 5) and sigma.size == 0
 
 
 def test_local_search_descends_psi(rng, monkeypatch):
@@ -281,8 +286,8 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
     # makes 2 AC, 1 AC^T, 2 Gram and 1 C products: AC^T for the gradient, AC
     # and the Gram on the atom for the step model, the QR pair of the
     # candidate's thin SVD, AC and the Gram on the accepted iterate, C for
-    # its rank.  Before the loop, psi at the initializer, then the start's
-    # QR pair and evaluation.  A zero iterate (factor rank 0, as on
+    # its rank.  Before the loop only the start's QR pair and evaluation: no
+    # psi at the initializer.  A zero iterate (factor rank 0, as on
     # zeros_and_singletons) has no QR to take, and a rank-0 candidate no
     # product inside local_search.  No product anywhere in the solve is
     # with B.
@@ -313,7 +318,7 @@ def test_gcg_evaluates_each_accepted_iterate_once(rng, monkeypatch, lam):
         _, trace = solve(prob, GcgConfig(max_iter=6))
         ac, gram = prob.AC, prob.B.gram
         evaluation = [("UV", None), ("spmv", ac), ("spmv", gram)]
-        want = evaluation + 2 * [("QR", None)] + evaluation
+        want = 2 * [("QR", None)] + evaluation
         for row in trace.records:
             want += [("spmv_t", ac), ("spmv", ac), ("spmv", gram)]
             want += 2 * [("QR", None)] * (row.factor_rank > 0) + evaluation
@@ -467,12 +472,48 @@ def test_unbalanced_rows_read_their_rank_from_the_settles_svd(rng, monkeypatch):
     assert held == 5
 
 
+@pytest.mark.parametrize("recompress", [True, False])
+@pytest.mark.parametrize("track_structured_rank", [True, False])
+def test_every_configuration_takes_one_svd_and_one_evaluation_per_settle(
+        monkeypatch, recompress, track_structured_rank):
+    # solve_homotopy on the desk in each (recompress, track_structured_rank)
+    # configuration: one evaluation (_iterate_terms) per row of every stage
+    # plus the cold start's, as many thin SVDs (factor_svd), each a QR pair
+    # and one core SVD, and no psi_value call, the local search's blocks
+    # being exact.
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.update(
+            {name: calls.get(name, 0) + 1}) or fn(*a, **k))
+
+    for module, name in ((gcg, "_iterate_terms"), (gcg, "factor_svd"),
+                         (gcg, "psi_value"), (objective, "_iterate_terms"),
+                         (objective, "_thin_qr"), (objective, "_svd")):
+        count(module, name)
+    rows, solve_fn = [], gcg.solve
+
+    def staged(*args, **kwargs):
+        out = solve_fn(*args, **kwargs)
+        rows.append(len(out[1].records))
+        return out
+
+    monkeypatch.setattr(gcg, "solve", staged)
+    solve_homotopy(_desk_problem(), GcgConfig(
+        recompress=recompress, track_structured_rank=track_structured_rank))
+    assert len(rows) == 3
+    assert calls["_iterate_terms"] == calls["factor_svd"] == sum(rows) + 1, calls
+    assert calls["_thin_qr"] == 2 * calls["_svd"] == 2 * calls["factor_svd"], calls
+    assert "psi_value" not in calls, calls
+
+
 def test_a_rejected_or_skipped_compress_keeps_the_factors(rng, monkeypatch):
     # Without the recompress, unbalanced factors settle to themselves: the
     # same object, its own evaluation, and |X|_* from the thin SVD rather
     # than the surrogate.  With it the settle always compresses, evaluating
-    # the compressed factors, with |X|_* their surrogate and sigma None (its
-    # SVD was of fac).  A compressed candidate whose psi rises past the last
+    # the compressed factors, with |X|_* their surrogate and sigma the
+    # singular values compress kept.  A compressed candidate whose psi rises past the last
     # row's is rejected by the step hold, and the solve keeps the factors of
     # the last accepted settle: the inflated local search's third (above).
     prob = random_hankel_problem(rng, j=4, k=5, lam=0.9, mu=0.3)
@@ -487,7 +528,8 @@ def test_a_rejected_or_skipped_compress_keeps_the_factors(rng, monkeypatch):
     np.testing.assert_array_equal(sigma, factor_svd(fac)[1])
     assert got == float(sigma.sum())
     packed, terms, got, sigma = _settled(prob, fac, True)
-    assert packed is not fac and sigma is None
+    assert packed is not fac
+    np.testing.assert_array_equal(sigma, compress(fac)[1])
     for part, want in zip(terms, _iterate_terms(prob, packed), strict=True):
         np.testing.assert_array_equal(part, want)
     assert got == packed.surrogate() and abs(got - nuclear) <= 1e-12 * nuclear
@@ -644,6 +686,38 @@ def test_solve_rejects_bad_init(rng):
         solve(prob, init=FactorPair.ones(4, 3))
     with pytest.raises(DivergedError) as exc:
         solve(prob, init=FactorPair(np.full((3, 1), np.nan), np.ones((1, 3))))
+    assert exc.value.trace.converged_reason == "diverged"
+    assert exc.value.trace.records == []
+
+
+@pytest.mark.parametrize("recompress", [True, False])
+def test_a_nonfinite_cold_start_diverges_before_its_svd(rng, monkeypatch, recompress):
+    # Factors holding NaN have a NaN surrogate: the start raises diverged at
+    # the initial point before the settle's thin SVD, with no row written
+    prob = random_hankel_problem(rng, j=3, k=4)
+    monkeypatch.setattr(gcg, "factor_svd",
+                        lambda f: pytest.fail("SVD of non-finite factors"))
+    u = rng.standard_normal((3, 2))
+    u[1, 0] = np.nan
+    with pytest.raises(DivergedError, match="at the initial point") as exc:
+        solve(prob, GcgConfig(recompress=recompress),
+              init=FactorPair(u, rng.standard_normal((2, 4))))
+    assert exc.value.trace.converged_reason == "diverged"
+    assert exc.value.trace.records == []
+
+
+def test_a_warm_start_whose_psi_overflows_diverges(rng):
+    # A Settled iterate of random factors on the desk, far from the
+    # structure, starts a stage at lam 1e308, where its structure penalty,
+    # and so its psi, overflows: the stage raises diverged at the initial
+    # point with no row written
+    prob = _desk_problem()
+    start = _settled(prob, FactorPair(rng.standard_normal((12, 2)),
+                                      rng.standard_normal((2, 16))), True)
+    stage = prob.at_lam(1e308)
+    assert np.isfinite(_psi(prob, start)) and not np.isfinite(_psi(stage, start))
+    with pytest.raises(DivergedError, match="at the initial point") as exc:
+        solve(stage, GcgConfig(), init=start)
     assert exc.value.trace.converged_reason == "diverged"
     assert exc.value.trace.records == []
 
@@ -874,8 +948,8 @@ def test_an_exact_v_solve_gives_psi_in_closed_form(rng, monkeypatch, scale):
 
 
 def test_warm_stages_start_from_the_settled_iterate(monkeypatch):
-    # solve_homotopy on the desk: only the first stage evaluates and settles
-    # its start before its first gradient; a warm stage starts from the last
+    # solve_homotopy on the desk: only the first stage settles its start
+    # before its first gradient, with no psi at the initializer; a warm stage starts from the last
     # stage's settled iterate, with a start phi (the first stop test's
     # phi_prev) equal to a fresh dense evaluation of it to 1e-12 relative.
     # Every stage shares the first stage's lam-free data.
@@ -904,7 +978,7 @@ def test_warm_stages_start_from_the_settled_iterate(monkeypatch):
     for k, (stage, init) in enumerate(zip(stages, starts)):
         stage_events = events[bounds[k]:bounds[k + 1]]
         before = stage_events[1:stage_events.index("grad")]
-        assert before == ([] if k else ["psi", "settle"]), k
+        assert before == ([] if k else ["settle"]), k
         for name in objective.LAM_FREE:
             assert vars(stage)[name] is vars(stages[0])[name], (k, name)
         if not k:
