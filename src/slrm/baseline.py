@@ -9,7 +9,10 @@ vector; the step size comes in closed form from the problem data.  Each
 accepted iterate is evaluated once, as its residual AC x - b and its Gram
 term B^T B x: the trace row's f comes from them, with the penalty read as
 <x, B^T B x>, and the gradient at the extrapolated point by linearity, so an
-iteration makes three sparse products (AC, AC^T and B's Gram).  With a long
+iteration makes three sparse products (AC, AC^T and B's Gram).  The
+momentum restarts whenever phi rises (O'Donoghue & Candes, Found. Comput.
+Math. 2015): FISTA's extrapolation overshoots near the optimum, and the row's
+phi, already computed, decides the restart by one comparison.  With a long
 iteration budget it doubles as the reference optimum for tests.
 """
 
@@ -36,7 +39,13 @@ class ApgConfig(SolverConfig):
 
     @classmethod
     def oracle(cls, max_iter=5000, **kw):
-        """Long run with stopping effectively disabled; used as a phi* reference."""
+        """Long run used as a phi* reference: tol_x = tol_obj = 1e-300.
+
+        Stopping is not off.  tol_obj fires when phi repeats bit for bit
+        (its relative change is then 0), and tol_x when the step is 0, so a
+        run that reaches its floating-point fixed point ends there, before
+        ``max_iter``.
+        """
         return cls(max_iter=max_iter, tol_x=1e-300, tol_obj=1e-300, **kw)
 
 
@@ -73,7 +82,7 @@ def _svt_with_values(x, tau):
 
 
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
-    """FISTA on f + mu * nuclear norm; returns (dense X, trace).
+    """Restarted FISTA on f + mu * nuclear norm; returns (dense X, trace).
 
     Each accepted iterate x_k, and x_0, is evaluated once by
     ``affine_terms``: r_k = AC x_k - b and q_k = B^T B x_k (one AC and one
@@ -83,6 +92,13 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     of the carried terms, so the step takes one AC^T product: three sparse
     products per iteration, none with B itself.  A B without rows has a
     zero Gram, and lam = 0 zeroes its term.
+
+    Momentum restart: when a row's phi is above the previous row's, t is
+    reset to 1 before the next momentum weight is taken, so beta = 0 and
+    the next step is a plain prox-gradient step from x_k, which with step
+    1/L, L >= lambda_max of the Hessian, does not raise phi.  The rule costs
+    one comparison of values the trace computes anyway: no product and no
+    evaluation.
 
     Rows go through the conditional-gradient ``SolveTrace.append``; here psi
     equals phi, theta is 0, sigma_top is the iterate's largest singular
@@ -123,8 +139,6 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             x_new, s_vals = _svt_with_values(z, tau)
         except ValueError as exc:  # the prox rejects a non-finite gradient step
             raise trace.diverged(f"non-finite gradient step at iteration {k}") from exc
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        beta = (t_mom - 1.0) / t_new
         step_x = x_new - x_prev
 
         x = vec(x_new)
@@ -136,6 +150,10 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
                            sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
                            rank=-1,  # not read; the final row's is set after the loop
                            factor_rank=int(np.sum(s_vals > 0.0)))
+        if phi_prev is not None and phi > phi_prev:
+            t_mom = 1.0  # restart: beta = 0, the next step is a prox step from x_k
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        beta = (t_mom - 1.0) / t_new
         dx = float(np.linalg.norm(step_x))
         reason = config.stop_reason(dx, phi, phi_prev)  # no tol_obj at k = 1
         x_prev, t_mom, phi_prev = x_new, t_new, phi

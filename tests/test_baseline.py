@@ -309,19 +309,28 @@ def test_apg_rows_match_smooth_terms_at_their_iterates(rng, monkeypatch, lam):
                                        err_msg=f"{name}, row {row.iteration}")
 
 
-def _direct_gradient_apg(prob, iters):
-    # FISTA with the gradient taken at every extrapolated point y
+def _dense_phi(prob, x):
+    return (dense_smooth_terms(prob, vec(x))[0]
+            + prob.mu * np.linalg.svd(x, compute_uv=False).sum())
+
+
+def _direct_gradient_apg(prob, iters, restart=True):
+    # FISTA with the gradient taken at every extrapolated point y; with
+    # restart, the momentum resets when the dense phi of an iterate rises
     lip = lipschitz_estimate(prob)
     step = 1.0 / lip if lip > 0.0 else 1.0
     x_prev = np.ones((prob.rows, prob.cols))
-    y, t_mom, out = x_prev, 1.0, []
+    y, t_mom, phi_prev, out = x_prev, 1.0, None, []
     for _ in range(iters):
         grad = _grad_from(prob, *affine_terms(prob, vec(y)))
         z = y - step * unvec(grad, prob.rows, prob.cols)
         x_new = svt(z, prob.mu * step)
+        phi = _dense_phi(prob, x_new)
+        if restart and phi_prev is not None and phi > phi_prev:
+            t_mom = 1.0
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x_prev)
-        x_prev, t_mom = x_new, t_new
+        x_prev, t_mom, phi_prev = x_new, t_new, phi
         out.append(x_new)
     return out
 
@@ -340,3 +349,84 @@ def test_apg_iterates_match_a_direct_gradient_loop(rng, monkeypatch, lam):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10,
                                        err_msg=f"{name}, iterate {k}")
         np.testing.assert_array_equal(x, iterates[-1])
+
+
+def _phi_rises(trace):
+    # rows (counted from 1) whose phi is above the previous row's
+    return [k for k in range(2, len(trace.records) + 1)
+            if trace.records[k - 1].phi > trace.records[k - 2].phi]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_iterates_match_plain_fista_up_to_the_first_rise(rng, monkeypatch, lam):
+    # plain FISTA's momentum until phi first rises; the next iterate is
+    # where the restart departs from it
+    iterates = _spy_iterates(monkeypatch)
+    monkeypatch.setattr(ApgConfig, "stop_reason", lambda self, *args: "")
+    departed = 0
+    for name, prob in observed_problems(rng, lam):
+        want = _direct_gradient_apg(prob, 60, restart=False)
+        iterates.clear()
+        _, trace = solve_apg(prob, ApgConfig(max_iter=60))
+        rises = _phi_rises(trace)
+        first = rises[0] if rises else 60
+        for k in range(1, first + 1):
+            np.testing.assert_allclose(iterates[k - 1], want[k - 1], rtol=0, atol=1e-10,
+                                       err_msg=f"{name}, iterate {k}")
+        if first < 60:
+            departed += 1
+            assert np.abs(iterates[first] - want[first]).max() > 1e-10, name
+    assert departed > 0
+
+
+def _scs_31_apg_problem():
+    # the apg-31 benchmark workload's first instance
+    cfg = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4,
+                         snr=10.0, seed=3)
+    return "scs-31 seed 3", apps.scs_problem(cfg, apps.scs_generate(cfg), mu=0.1,
+                                             lam=1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_a_rise_in_phi_is_followed_by_a_prox_gradient_step(rng, monkeypatch, lam):
+    # the restart zeroes the momentum, so the step after a rise is the
+    # prox-gradient step from the risen iterate; with step 1/L, L >= the
+    # Hessian's lambda_max, that step does not raise phi
+    iterates = _spy_iterates(monkeypatch)
+    problems = list(observed_problems(rng, lam))
+    if lam:  # the apg-31 instance once, at its own lam = 1 (restarts at row 213)
+        problems.append(_scs_31_apg_problem())
+    restarts = 0
+    for name, prob in problems:
+        iterates.clear()
+        _, trace = solve_apg(prob, ApgConfig.oracle(300))
+        step = 1.0 / lipschitz_estimate(prob)
+        for k in _phi_rises(trace):
+            if k == len(trace.records):
+                continue
+            restarts += 1
+            risen, after = trace.records[k - 1].phi, trace.records[k].phi
+            assert after <= risen + 1e-12 * abs(risen), f"{name}, row {k + 1}"
+            x_k = iterates[k - 1]
+            grad = unvec(_grad_from(prob, *affine_terms(prob, vec(x_k))),
+                         prob.rows, prob.cols)
+            want = svt(x_k - step * grad, prob.mu * step)
+            scale = max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(iterates[k], want, rtol=0, atol=1e-10 * scale,
+                                       err_msg=f"{name}, iterate {k + 1}")
+        if name.startswith("scs-31"):
+            assert _phi_rises(trace), name
+    assert restarts > 0
+
+
+def test_an_oracle_stage_stops_on_tol_obj_when_phi_repeats(rng):
+    # tol_obj = 1e-300 fires only on a relative change below 1e-300, that
+    # is when phi repeats bit for bit
+    stopped = 0
+    for lam in (0.0, 1.3):
+        for name, prob in observed_problems(rng, lam):
+            _, trace = solve_apg(prob, ApgConfig.oracle(300))
+            if trace.converged_reason == "tol_obj":
+                stopped += 1
+                assert trace.records[-1].phi == trace.records[-2].phi, name
+    assert stopped > 0
