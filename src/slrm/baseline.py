@@ -117,34 +117,48 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     step = 1.0 / lip
     tau = prob.mu * step
 
-    x_prev = np.asarray(init, dtype=float).copy() if init is not None \
+    # init is only read: the loop writes its buffers, never x_prev
+    x_prev = np.asarray(init, dtype=float) if init is not None \
         else np.ones((prob.rows, prob.cols))
     if x_prev.shape != (prob.rows, prob.cols):
         raise ValueError("initializer shape does not match the problem")
     # x_pen = x - step lam q, x moved by the penalty part of its gradient
     # step, extrapolates like x and q, so z = y - step grad f(y) is the
-    # extrapolated x_pen less step AC^T r_y.
+    # extrapolated x_pen less step AC^T r_y.  z, the two x_pen iterates
+    # (swapped each step) and the step x_new - x_prev are written into
+    # fixed F-order buffers, the layout vec reads as a view; every value is
+    # the same arithmetic as on fresh arrays.
+    z, x_pen, x_pen_prev, step_x = (np.empty_like(x_prev, order="F")
+                                    for _ in range(4))
+
+    def penalty_step(x, gram_x, out):
+        np.multiply(unvec(gram_x, prob.rows, prob.cols), step * prob.lam, out=out)
+        np.subtract(x, out, out=out)
+
     resid, gram_x = affine_terms(prob, vec(x_prev))
-    x_pen = x_prev - (step * prob.lam) * unvec(gram_x, prob.rows, prob.cols)
-    resid_prev, x_pen_prev = resid, x_pen
+    penalty_step(x_prev, gram_x, x_pen)
+    x_pen_prev[...] = x_pen
+    resid_prev = resid
     beta = 0.0
     t_mom = 1.0
     phi_prev = None
 
     for k in range(1, config.max_iter + 1):
         resid_y = resid + beta * (resid - resid_prev)
-        z = x_pen + beta * (x_pen - x_pen_prev)
+        np.subtract(x_pen, x_pen_prev, out=z)
+        z *= beta
+        z += x_pen
         z -= unvec(spmv_t(prob.AC, step * resid_y), prob.rows, prob.cols)
         try:
             x_new, s_vals = _svt_with_values(z, tau)
         except ValueError as exc:  # the prox rejects a non-finite gradient step
             raise trace.diverged(f"non-finite gradient step at iteration {k}") from exc
-        step_x = x_new - x_prev
+        np.subtract(x_new, x_prev, out=step_x)
 
         x = vec(x_new)
-        resid_prev, x_pen_prev = resid, x_pen
+        resid_prev, x_pen_prev, x_pen = resid, x_pen, x_pen_prev
         resid, gram_x = affine_terms(prob, x)
-        x_pen = x_new - (step * prob.lam) * unvec(gram_x, prob.rows, prob.cols)
+        penalty_step(x_new, gram_x, x_pen)
         phi = trace.append(prob, smooth_terms_from(prob, x, resid, gram_x),
                            float(s_vals.sum()), theta=0.0,
                            sigma_top=float(s_vals[0]) if s_vals.size else 0.0,

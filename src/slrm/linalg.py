@@ -11,7 +11,8 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork,
-                                 dorgqr, dsyevr, dsyevr_lwork)
+                                 dorgqr, dsyevd, dsyevd_lwork, dsyevr,
+                                 dsyevr_lwork)
 
 
 def vec(x):
@@ -114,12 +115,13 @@ def _short_side(a, name):
 def short_side_svd(a):
     """``(u, sigma, w)`` with ``s == u @ w``; s is ``a`` or ``a.T``, k x N, k <= N.
 
-    u holds the eigenvectors of the Gram ``s s^T`` from one ``eigh``, the rows
-    of ``w = u^T s`` are sigma times the right singular vectors, and sigma,
-    descending, are their norms: near 1e-15 sigma_max at a zero singular
-    value, where the eigenvalues' roots read ~1e-8.  Only a peak outside the
-    window of ``_short_side`` is rescaled, and w and sigma scaled back; ``a``
-    is never written.  Raises on non-finite input.
+    u holds the eigenvectors of the Gram ``s s^T`` from one symmetric
+    eigensolve (``_gram_eigenvectors``), the rows of ``w = u^T s`` are sigma
+    times the right singular vectors, and sigma, descending, are their
+    norms: near 1e-15 sigma_max at a zero singular value, where the
+    eigenvalues' roots read ~1e-8.  Only a peak outside the window of
+    ``_short_side`` is rescaled, and w and sigma scaled back; ``a`` is never
+    written.  Raises on non-finite input.
     """
     s, scale, _ = _short_side(a, "short_side_svd")
     u, sigma, w = _gram_svd(s)
@@ -136,7 +138,7 @@ def _gram_svd(s, floor=None):
     # Rows in descending eigenvalue order.  Eigenvectors are exact to
     # eps sigma_max^2 / gap, so a norm below 1e-3 sigma_max can be off by
     # eps sigma_max^2 / sigma_i; those rows, unless at rounding (floor), recur.
-    u = np.linalg.eigh(s @ s.T)[1][:, ::-1]
+    u = _gram_eigenvectors(s @ s.T)
     w = u.T @ s
     sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
     floor = np.finfo(float).eps * sigma.max() if floor is None else floor
@@ -152,9 +154,10 @@ def _lwork(routine, m, n):
     # LAPACK's optimal workspace for routine on an m x n input, queried once
     # per shape; numpy's and scipy's wrappers query it on every call.  A
     # smaller one can change the blocking, and with it the last bits.
-    # dsyevr (n x n) also needs an integer workspace.
-    if routine == "dsyevr":
-        work, iwork, info = dsyevr_lwork(n, lower=True)
+    # dsyevr and dsyevd (n x n) also need an integer workspace.
+    if routine in ("dsyevr", "dsyevd"):
+        query = dsyevr_lwork if routine == "dsyevr" else dsyevd_lwork
+        work, iwork, info = query(n, lower=True)
         _check(info, routine)
         return int(work), int(iwork)
     if routine == "dorgqr":  # scipy has no dorgqr_lwork; dorgqr answers lwork=-1
@@ -192,6 +195,13 @@ DIRECT_LAPACK_MAX_ENTRIES = 1024
 # every k.  The bound is 64, scs-101's short side, so that solve keeps its
 # bits: acceptance 11's error there sits near its bound.
 TOP_PAIR_DIRECT_MAX_SIDE = 64
+# _gram_eigenvectors' direct dsyevd is bounded by the short side k too.  At
+# 2 threads on 2 cores it took 160 us at k = 36 and 410 us at k = 64, and a
+# 300 x 300 numpy product right after it read 0.78-1.21x its time alone
+# (k = 36 to 64, 5 processes per k).  From k = 65 scipy's OpenBLAS threads
+# it: 3.7-3.9 ms up to k = 80, against 0.43-0.76 ms for numpy's eigh, and
+# the next product 5.2-7.1x.
+GRAM_EIGH_DIRECT_MAX_SIDE = 64
 
 
 def _thin_qr(a):
@@ -226,14 +236,30 @@ def _svd(a, compute_uv=True):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
+def _gram_eigenvectors(gram):
+    """``np.linalg.eigh(gram)[1]``, columns reversed (descending eigenvalues)
+    and C-contiguous, from one dsyevd on the lower triangle: numpy's call and
+    workspace without its wrapper, up to ``GRAM_EIGH_DIRECT_MAX_SIDE``;
+    numpy's ``eigh`` above.  The copy keeps ``u.T @ s`` on the BLAS path it
+    takes after numpy's ``eigh``; a strided u changes its last bits."""
+    k = gram.shape[0]
+    if k <= GRAM_EIGH_DIRECT_MAX_SIDE:
+        lwork, liwork = _lwork("dsyevd", k, k)
+        _, u, info = dsyevd(gram, lower=True, lwork=lwork, liwork=liwork)
+        _check(info, "dsyevd")
+    else:
+        u = np.linalg.eigh(gram)[1]
+    return np.ascontiguousarray(u[:, ::-1])
+
+
 def singular_values(a):
     """All singular values of a dense matrix, descending.  Under 4,096 entries
-    one LAPACK SVD (12 x 16: 24 us) beats the Gram route of ``short_side_svd``
-    (40 us), which wins above (36 x 676: 0.23 against 0.51 ms; best of 7 on
-    2 cores, OpenBLAS at 1 thread).  Up to 1,024 entries that SVD is one
-    direct dgesdd (``_svd``; 12 x 16: 21 against 23 us through numpy's
-    wrapper, best of 3 processes).  Both routes read an unscaled short side
-    as a view (``_short_side``)."""
+    one LAPACK SVD (12 x 16: 16 us) beats the Gram route of ``short_side_svd``
+    (25 us), which wins above (36 x 676: 0.26 against 0.52 ms).  Up to 1,024
+    entries that SVD is one direct dgesdd (``_svd``; 12 x 16: 13 against
+    16 us through numpy's wrapper).  Best of 7 on 2 cores, OpenBLAS at 1
+    thread.  Both routes read an unscaled short side as a view
+    (``_short_side``)."""
     s, scale, _ = _short_side(a, "singular_values")
     sigma = _svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
     return scale * np.sort(sigma)[::-1]

@@ -191,6 +191,50 @@ def test_apg_rejects_bad_init(rng):
         assert exc.value.trace.wall_time_s > 0.0, big
 
 
+class _NumpyWrites:
+    """numpy as baseline sees it, keeping every array baseline allocates
+    with ``empty_like`` or writes through a ufunc's ``out``."""
+
+    def __init__(self):
+        self.written = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name != "empty_like" and not isinstance(fn, np.ufunc):
+            return fn
+
+        def spied(*args, **kw):
+            result = fn(*args, **kw)
+            self.written.append(result if name == "empty_like" else kw.get("out"))
+            return result
+        return spied
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_buffers_share_no_memory_with_its_results(rng, monkeypatch, lam):
+    # solve_apg writes z, the x_pen pair and the step into buffers it
+    # reuses every iteration: init is never written, and the returned
+    # iterate and warm start share no memory with any array the loop writes,
+    # so a second solve of the same problem leaves them as they were
+    spy = _NumpyWrites()
+    monkeypatch.setattr(baseline, "np", spy)
+    for name, prob in observed_problems(rng, lam):
+        init = rng.standard_normal((prob.rows, prob.cols))
+        kept = init.copy()
+        spy.written.clear()
+        x, trace = solve_apg(prob, ApgConfig(max_iter=30), init=init)
+        written = [a for a in spy.written if isinstance(a, np.ndarray)]
+        assert sum(a.shape == init.shape for a in written) >= 4, name
+        for a in written:
+            for got in (x, trace.warm_start, init):
+                assert not np.shares_memory(got, a), name
+        first = x.copy()
+        again, _ = solve_apg(prob, ApgConfig(max_iter=30), init=init)
+        for got in (x, trace.warm_start, again):
+            np.testing.assert_array_equal(got, first, err_msg=name)
+        np.testing.assert_array_equal(init, kept, err_msg=name)
+
+
 def test_apg_homotopy_matches_manual_stages(rng, monkeypatch):
     prob = random_hankel_problem(rng, j=3, k=4, lam=1.0, mu=0.2)
     cfg = ApgConfig(max_iter=50, lam_growth=10.0, lam_max=100.0)

@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from slrm import apps, gcg, linalg
-from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, TOP_PAIR_DIRECT_MAX_SIDE,
-                         SparseMatrix, _short_side, _svd, _thin_qr, short_side_svd,
+from slrm import apps, baseline, gcg, linalg
+from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, GRAM_EIGH_DIRECT_MAX_SIDE,
+                         TOP_PAIR_DIRECT_MAX_SIDE, SparseMatrix, _gram_eigenvectors,
+                         _gram_svd, _short_side, _svd, _thin_qr, short_side_svd,
                          singular_values, spmv, spmv_t, top_singular_pair, unvec,
                          vec)
 from slrm.objective import FactorPair, factor_svd
@@ -481,3 +482,91 @@ def test_top_singular_pair_is_the_wrapped_subset_eigh(rng):
         assert res.sigma == sigma and res.degenerate == (sigma == 0.0), name
         np.testing.assert_array_equal(res.u, u, err_msg=name)
         np.testing.assert_array_equal(res.v, v, err_msg=name)
+
+
+def _wrapped_gram_svd(s, floor=None):
+    # _gram_svd with the eigenvectors from numpy's eigh, reversed as a view
+    u = np.linalg.eigh(s @ s.T)[1][:, ::-1]
+    w = u.T @ s
+    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
+    floor = np.finfo(float).eps * sigma.max() if floor is None else floor
+    cut = int(np.count_nonzero(sigma >= 1e-3 * sigma.max()))
+    if cut < sigma.size and sigma[cut:].max() > floor:
+        u_tail, sigma[cut:], w[cut:] = _wrapped_gram_svd(w[cut:], floor)
+        u[:, cut:] = u[:, cut:] @ u_tail
+    return u, sigma, w
+
+
+def _assert_gram_svd_is_numpys(s, floor, name):
+    # the direct dsyevd's values and vectors are numpy's eigh's; the kernel's
+    # reversed vectors are C-contiguous, so u^T s takes numpy's BLAS path
+    # (a strided u changes its last bits), and u, sigma and w are the numpy
+    # route's bit for bit
+    gram = s @ s.T
+    k = gram.shape[0]
+    values, vectors = np.linalg.eigh(gram)
+    if k <= GRAM_EIGH_DIRECT_MAX_SIDE:
+        lwork, liwork = linalg._lwork("dsyevd", k, k)
+        w, v, info = linalg.dsyevd(gram, lower=True, lwork=lwork, liwork=liwork)
+        assert info == 0, name
+        np.testing.assert_array_equal(w, values, err_msg=name)
+        np.testing.assert_array_equal(v, vectors, err_msg=name)
+    u = _gram_eigenvectors(gram)
+    assert u.flags.c_contiguous, name
+    np.testing.assert_array_equal(u, vectors[:, ::-1], err_msg=name)
+    np.testing.assert_array_equal(u.T @ s, vectors[:, ::-1].T @ s, err_msg=name)
+    for got, want in zip(_gram_svd(s, floor), _wrapped_gram_svd(s, floor)):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_gram_svd_is_numpys_eigh_route_on_random_grams(rng):
+    # every short side up to the direct bound, full rank and of rank 3
+    # (whose rows past the third recur), and two sides above it
+    for k in list(range(1, GRAM_EIGH_DIRECT_MAX_SIDE + 1)) + [65, 100]:
+        _assert_gram_svd_is_numpys(rng.standard_normal((k, k + 7)), None, f"k={k}")
+        low = rng.standard_normal((k, 3)) @ rng.standard_normal((3, k + 7))
+        _assert_gram_svd_is_numpys(low, None, f"rank 3, k={k}")
+
+
+def test_gram_svd_is_numpys_eigh_route_on_apg_31_grams(monkeypatch):
+    # every short side the apg-31 benchmark thresholds (scs-31 seeds 3-5,
+    # 300 iterations), recursion tails included
+    calls = []
+
+    def spied(s, floor=None):
+        calls.append((s.copy(), floor))
+        return gram_svd(s, floor)
+
+    gram_svd = linalg._gram_svd
+    monkeypatch.setattr(linalg, "_gram_svd", spied)
+    for seed in (3, 4, 5):
+        cfg = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4,
+                             snr=10.0, seed=seed)
+        prob = apps.scs_problem(cfg, apps.scs_generate(cfg), mu=0.1, lam=1.0)
+        baseline.solve_apg(prob, baseline.ApgConfig.oracle(300))
+    monkeypatch.undo()
+    tails = {s.shape[0] for s, floor in calls if floor is not None}
+    assert len(calls) > 900 and tails and max(tails) < 36
+    for i, (s, floor) in enumerate(calls):
+        _assert_gram_svd_is_numpys(s, floor, f"call {i}, k={s.shape[0]}")
+
+
+def test_gram_svd_takes_dsyevd_up_to_its_bound(rng, monkeypatch):
+    # short sides of 12, 36 and 64 (the desk, scs-31 and scs-101 lifts) take
+    # the direct dsyevd; 65 and 100 numpy's eigh, whose LAPACK is numpy's
+    # own OpenBLAS
+    calls = []
+    direct, eigh = linalg.dsyevd, np.linalg.eigh
+    monkeypatch.setattr(linalg, "dsyevd",
+                        lambda g, **kw: calls.append(("dsyevd", g.shape[0])) or direct(g, **kw))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda g: calls.append(("eigh", g.shape[0])) or eigh(g))
+    for k in (1, 12, 36, 64, 65, 100):
+        for a in (rng.standard_normal((k, k + 20)), rng.standard_normal((k + 20, k))):
+            calls.clear()
+            short_side_svd(a)
+            route = "dsyevd" if k <= GRAM_EIGH_DIRECT_MAX_SIDE else "eigh"
+            assert calls == [(route, k)], a.shape
+    calls.clear()
+    singular_values(rng.standard_normal((36, 676)))  # the Gram route
+    assert calls == [("dsyevd", 36)]
