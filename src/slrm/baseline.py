@@ -3,17 +3,19 @@
 Solves the same penalized objective as the conditional-gradient solver but
 keeps a dense iterate and computes all of its singular values every
 iteration, which is the cost profile the factored solver is meant to avoid.
-The thresholding takes all singular values from one eigensolve of the k x k
-Gram of the short side (k = min(M, N)) and never normalizes a right singular
-vector; the step size comes in closed form from the problem data.  Each
-accepted iterate is evaluated once, as its residual AC x - b and its Gram
-term B^T B x: the trace row's f comes from them, with the penalty read as
-<x, B^T B x>, and the gradient at the extrapolated point by linearity, so an
-iteration makes three sparse products (AC, AC^T and B's Gram).  The
-momentum restarts whenever phi rises (O'Donoghue & Candes, Found. Comput.
-Math. 2015): FISTA's extrapolation overshoots near the optimum, and the row's
-phi, already computed, decides the restart by one comparison.  With a long
-iteration budget it doubles as the reference optimum for tests.
+The thresholding takes all singular values and left vectors from one
+eigensolve of the k x k Gram of the short side s (k = min(M, N)) and forms
+no right singular vector: the thresholded iterate is a k x k matrix times s,
+one product with s after the Gram.  The step size comes in closed form from
+the problem data.  Each accepted iterate is evaluated once, as its residual
+AC x - b and its Gram term B^T B x: the trace row's f comes from them, with
+the penalty read as <x, B^T B x>, and the gradient at the extrapolated point
+by linearity, so an iteration makes three sparse products (AC, AC^T and B's
+Gram).  The momentum restarts whenever phi rises (O'Donoghue & Candes,
+Found. Comput. Math. 2015): FISTA's extrapolation overshoots near the
+optimum, and the row's phi, already computed, decides the restart by one
+comparison.  With a long iteration budget it doubles as the reference
+optimum for tests.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcg import SolverConfig, SolveTrace, _continuation, structured_rank
-from .linalg import short_side_svd, spmv_t, unvec, vec
+from . import linalg
+from .linalg import spmv_t, unvec, vec
 from .objective import PenaltyProblem, affine_terms, smooth_terms_from
 from .structure import constraint_gram_norm
 
@@ -64,21 +67,33 @@ def lipschitz_estimate(prob: PenaltyProblem):
 
 
 def svt(x, tau):
-    """Proximal map of tau * |X|_* (tau >= 0): soft-threshold the singular values."""
+    """Proximal map of tau * |X|_* (tau >= 0): soft-threshold the singular values.
+
+    With u and sigma from the Gram of the short side s, the result is
+    ``u diag(max(sigma - tau, 0) / sigma) u^T s`` (or its transpose): a
+    k x k product, then one with s.  A wide result is column-major.
+    """
     if not tau >= 0.0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     return _svt_with_values(x, tau)[0]
 
 
 def _svt_with_values(x, tau):
-    # Row i of w is sigma_i v_i^T, so scaling it by shrunk_i / sigma_i
-    # thresholds it; no right singular vector is normalized.
+    # With s = u diag(sigma) v^T, the threshold is m s for the k x k
+    # m = u diag(shrunk / sigma) u^T: one product with s, and no right
+    # singular vector formed.  It is taken as (s^T m^T)^T, so a wide result
+    # is column-major as vec reads it.
     x = np.asarray(x, dtype=float)
-    u, s, w = short_side_svd(x)
-    shrunk = np.maximum(s - tau, 0.0)
-    scale = np.divide(shrunk, s, out=np.zeros_like(s), where=shrunk > 0.0)
-    out = w.T @ (u * scale).T  # transposed, so a wide result is column-major as vec reads it
-    return (out.T if x.shape[0] <= x.shape[1] else out), shrunk
+    s, gram, scale, left = linalg._short_side_gram(x, "svt")
+    u, sigma = linalg._gram_svd(s, gram)
+    sigma *= scale
+    shrunk = np.maximum(sigma - tau, 0.0)
+    ratio = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=shrunk > 0.0)
+    m = (u * ratio) @ u.T
+    out = s.T @ m.T
+    if scale != 1.0:
+        out *= scale
+    return (out.T if left else out), shrunk
 
 
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):

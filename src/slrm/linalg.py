@@ -89,6 +89,11 @@ def spmv_t(a: SparseMatrix, y):
 # (for any N < 2^53), and a row of entries at eps p still has normal
 # squares (2^-304 and up), so no row that counts at rounding underflows.
 UNSCALED_MAX_EXPONENT = 100
+# The Gram routes read the window off the Gram s s^T, with no pass over s.
+# Its largest diagonal entry d, a sum of N squares, is at least p^2 as
+# computed and at most (1 + N eps) N p^2 < 2 N p^2 (N < 2^52).  So
+# d < 2^202 means p < 2^101, and d >= N 2^-199 means p > 2^-100.
+GRAM_WINDOW = (2.0 ** -199, 2.0 ** 202)
 
 
 def _short_side(a, name):
@@ -112,41 +117,68 @@ def _short_side(a, name):
     return np.ldexp(s, -exponent), float(np.ldexp(1.0, exponent)), left
 
 
+def _short_side_gram(a, name):
+    """``(s, gram, scale, left)``: ``_short_side``'s s, scale and left, with
+    the Gram ``s s^T``, which is formed first.  A diagonal inside
+    ``GRAM_WINDOW`` puts the peak inside the window, so s is a view of
+    ``a`` with scale 1.0 and no max or min is taken.  Any other diagonal
+    (zero, inf, NaN or near an edge) takes ``_short_side``'s exact peak
+    test, which rescales or raises as it decides, and a rescaled s gets its
+    own Gram.  The first Gram of a finite ``a`` may overflow, and that of a
+    non-finite one turn NaN, without a numpy warning."""
+    a = np.asarray(a, dtype=float)
+    left = a.shape[0] <= a.shape[1]
+    s = a if left else a.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = s @ s.T
+    low, high = GRAM_WINDOW
+    if a.size and s.shape[1] * low <= gram.diagonal().max() < high:
+        return s, gram, 1.0, left
+    s, scale, left = _short_side(a, name)
+    return s, (gram if scale == 1.0 else s @ s.T), scale, left
+
+
 def short_side_svd(a):
     """``(u, sigma, w)`` with ``s == u @ w``; s is ``a`` or ``a.T``, k x N, k <= N.
 
-    u holds the eigenvectors of the Gram ``s s^T`` from one symmetric
-    eigensolve (``_gram_eigenvectors``), the rows of ``w = u^T s`` are sigma
-    times the right singular vectors, and sigma, descending, are their
-    norms: near 1e-15 sigma_max at a zero singular value, where the
-    eigenvalues' roots read ~1e-8.  Only a peak outside the window of
-    ``_short_side`` is rescaled, and w and sigma scaled back; ``a`` is never
-    written.  Raises on non-finite input.
+    u and sigma, descending, come from ``_gram_svd`` on the Gram ``s s^T``,
+    and ``w = u^T s`` is formed here: its rows are sigma times the right
+    singular vectors, to within 1e-12 sigma_max.  Only a peak
+    outside the window of ``_short_side`` is rescaled, and w and sigma
+    scaled back; ``a`` is never written.  Raises on non-finite input.
     """
-    s, scale, _ = _short_side(a, "short_side_svd")
-    u, sigma, w = _gram_svd(s)
-    if np.any(sigma[1:] > sigma[:-1]):  # rounding swapped two rows
-        order = np.argsort(sigma)[::-1]
-        u, sigma, w = u[:, order], sigma[order], w[order]
+    s, gram, scale, _ = _short_side_gram(a, "short_side_svd")
+    u, sigma = _gram_svd(s, gram)
+    w = u.T @ s
     if scale != 1.0:
         w *= scale
         sigma = scale * sigma
     return u, sigma, w
 
 
-def _gram_svd(s, floor=None):
-    # Rows in descending eigenvalue order.  Eigenvectors are exact to
-    # eps sigma_max^2 / gap, so a norm below 1e-3 sigma_max can be off by
-    # eps sigma_max^2 / sigma_i; those rows, unless at rounding (floor), recur.
-    u = _gram_eigenvectors(s @ s.T)
-    w = u.T @ s
-    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
+def _gram_svd(s, gram, floor=None):
+    # (u, sigma) of s, descending, from one eigensolve of its Gram s s^T.
+    # An eigenvalue is exact to about eps lambda_max, so sqrt(lambda) is the
+    # singular value to eps sigma_max^2 / sigma: rows with lambda >= 1e-6
+    # lambda_max (sigma >= 1e-3 sigma_max) take it.
+    # Only the tail forms w_t = u_t^T s, whose row norms are its singular
+    # values unless its eigenvectors are off; unless at rounding (floor),
+    # the tail recurs on the Gram of w_t.
+    values, u = _gram_eigh(gram)
+    cut = int(np.count_nonzero(values >= 1e-6 * values[0]))
+    sigma = np.sqrt(np.maximum(values, 0.0))  # the tail's are replaced below
+    if cut == sigma.size:
+        return u, sigma
+    w = u[:, cut:].T @ s
+    sigma[cut:] = np.sqrt(np.einsum("ij,ij->i", w, w))
     floor = np.finfo(float).eps * sigma.max() if floor is None else floor
-    cut = int(np.count_nonzero(sigma >= 1e-3 * sigma.max()))
-    if cut < sigma.size and sigma[cut:].max() > floor:
-        u_tail, sigma[cut:], w[cut:] = _gram_svd(w[cut:], floor)
+    if sigma[cut:].max() > floor:
+        u_tail, sigma[cut:] = _gram_svd(w, w @ w.T, floor)
         u[:, cut:] = u[:, cut:] @ u_tail
-    return u, sigma, w
+    if np.any(sigma[1:] > sigma[:-1]):  # rounding swapped two rows
+        order = np.argsort(sigma)[::-1]
+        u, sigma = u[:, order], sigma[order]
+    return u, sigma
 
 
 @cache
@@ -195,7 +227,7 @@ DIRECT_LAPACK_MAX_ENTRIES = 1024
 # every k.  The bound is 64, scs-101's short side, so that solve keeps its
 # bits: acceptance 11's error there sits near its bound.
 TOP_PAIR_DIRECT_MAX_SIDE = 64
-# _gram_eigenvectors' direct dsyevd is bounded by the short side k too.  At
+# _gram_eigh's direct dsyevd is bounded by the short side k too.  At
 # 2 threads on 2 cores it took 160 us at k = 36 and 410 us at k = 64, and a
 # 300 x 300 numpy product right after it read 0.78-1.21x its time alone
 # (k = 36 to 64, 5 processes per k).  From k = 65 scipy's OpenBLAS threads
@@ -236,32 +268,39 @@ def _svd(a, compute_uv=True):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
-def _gram_eigenvectors(gram):
-    """``np.linalg.eigh(gram)[1]``, columns reversed (descending eigenvalues)
-    and C-contiguous, from one dsyevd on the lower triangle: numpy's call and
-    workspace without its wrapper, up to ``GRAM_EIGH_DIRECT_MAX_SIDE``;
-    numpy's ``eigh`` above.  The copy keeps ``u.T @ s`` on the BLAS path it
-    takes after numpy's ``eigh``; a strided u changes its last bits."""
+def _gram_eigh(gram):
+    """``np.linalg.eigh(gram)``, reversed (descending eigenvalues, the values
+    a view, the vectors C-contiguous), from one dsyevd on the lower
+    triangle: numpy's call and workspace without its wrapper, up to
+    ``GRAM_EIGH_DIRECT_MAX_SIDE``; numpy's ``eigh`` above.  The copy keeps
+    the products with u on the BLAS path they take after numpy's ``eigh``;
+    a strided u changes their last bits."""
     k = gram.shape[0]
     if k <= GRAM_EIGH_DIRECT_MAX_SIDE:
         lwork, liwork = _lwork("dsyevd", k, k)
-        _, u, info = dsyevd(gram, lower=True, lwork=lwork, liwork=liwork)
+        values, u, info = dsyevd(gram, lower=True, lwork=lwork, liwork=liwork)
         _check(info, "dsyevd")
     else:
-        u = np.linalg.eigh(gram)[1]
-    return np.ascontiguousarray(u[:, ::-1])
+        values, u = np.linalg.eigh(gram)
+    return values[::-1], np.ascontiguousarray(u[:, ::-1])
 
 
 def singular_values(a):
     """All singular values of a dense matrix, descending.  Under 4,096 entries
-    one LAPACK SVD (12 x 16: 16 us) beats the Gram route of ``short_side_svd``
-    (25 us), which wins above (36 x 676: 0.26 against 0.52 ms).  Up to 1,024
+    one LAPACK SVD (12 x 16: 16 us) beats the Gram route of ``_gram_svd``
+    (19 us), which wins above (36 x 676: 0.21 against 0.52 ms).  Up to 1,024
     entries that SVD is one direct dgesdd (``_svd``; 12 x 16: 13 against
     16 us through numpy's wrapper).  Best of 7 on 2 cores, OpenBLAS at 1
-    thread.  Both routes read an unscaled short side as a view
-    (``_short_side``)."""
-    s, scale, _ = _short_side(a, "singular_values")
-    sigma = _svd(s, compute_uv=False) if s.size < 4096 else _gram_svd(s)[1]
+    thread.  Both routes read an unscaled short side as a view; the SVD
+    route finds the window by ``_short_side``'s peak scan, the Gram route
+    by the Gram's diagonal (``_short_side_gram``)."""
+    a = np.asarray(a, dtype=float)
+    if a.size < 4096:
+        s, scale, _ = _short_side(a, "singular_values")
+        sigma = _svd(s, compute_uv=False)
+    else:
+        s, gram, scale, _ = _short_side_gram(a, "singular_values")
+        sigma = _gram_svd(s, gram)[1]
     return scale * np.sort(sigma)[::-1]
 
 
@@ -290,16 +329,16 @@ def top_singular_pair(a):
     with ``a``.  A zero matrix gives ``degenerate``, ``sigma`` 0 and unit
     vectors.  Raises on non-finite input.
     """
-    s, scale, left = _short_side(a, "top_singular_pair")
+    s, gram, scale, left = _short_side_gram(a, "top_singular_pair")
     k, n = s.shape
     if k <= TOP_PAIR_DIRECT_MAX_SIDE:
         lwork, liwork = _lwork("dsyevr", k, k)
-        _, w, _, _, info = dsyevr(s @ s.T, range="I", il=k, iu=k, lower=True,
+        _, w, _, _, info = dsyevr(gram, range="I", il=k, iu=k, lower=True,
                                   lwork=lwork, liwork=liwork)
         _check(info, "dsyevr")
         w = w[:, 0]
     else:
-        w = np.linalg.eigh(s @ s.T)[1][:, -1]
+        w = np.linalg.eigh(gram)[1][:, -1]
     x = s.T @ w
     norm = float(np.linalg.norm(x))
     degenerate = norm == 0.0

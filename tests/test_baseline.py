@@ -54,6 +54,38 @@ def test_svt_matches_the_full_svd_reference(rng, tau_share):
             assert not np.any(got) and not np.any(shrunk), name
 
 
+@pytest.mark.parametrize("seed", [3, 100])
+def test_svt_matches_the_full_svd_on_apg_31_iterates(monkeypatch, seed):
+    # every point the apg-31 benchmark thresholds (scs-31, 300 iterations),
+    # against the dense SVD: the head's sigma from the Gram's eigenvalues,
+    # and the tail's (below 1e-3 sigma_max) from its own route
+    points = []
+
+    def spy(z, tau):
+        points.append((np.array(z), tau))
+        return _svt_with_values(z, tau)
+
+    monkeypatch.setattr(baseline, "_svt_with_values", spy)
+    cfg = apps.ScsConfig(n1=31, n2=31, r=3, k1=6, k2=6, obs_fraction=0.4,
+                         snr=10.0, seed=seed)
+    prob = apps.scs_problem(cfg, apps.scs_generate(cfg), mu=0.1, lam=1.0)
+    solve_apg(prob, ApgConfig.oracle(300))
+    monkeypatch.undo()
+    assert len(points) == 300
+    tails = 0
+    for i, (z, tau) in enumerate(points):
+        u, s, vt = np.linalg.svd(z, full_matrices=False)
+        top = float(s[0])
+        tails += bool(s[-1] < 1e-3 * top)
+        want = np.maximum(s - tau, 0.0)
+        got, shrunk = _svt_with_values(z, tau)
+        np.testing.assert_allclose(got, (u * want) @ vt, rtol=0, atol=1e-12 * top,
+                                   err_msg=f"step {i}")
+        np.testing.assert_allclose(shrunk, want, rtol=0, atol=1e-12 * top,
+                                   err_msg=f"step {i}")
+    assert tails > 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
 def test_svt_rejects_nonfinite(bad, shape):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slrm import apps, baseline, gcg, linalg
 from slrm.linalg import (DIRECT_LAPACK_MAX_ENTRIES, GRAM_EIGH_DIRECT_MAX_SIDE,
-                         TOP_PAIR_DIRECT_MAX_SIDE, SparseMatrix, _gram_eigenvectors,
+                         TOP_PAIR_DIRECT_MAX_SIDE, SparseMatrix, _gram_eigh,
                          _gram_svd, _short_side, _svd, _thin_qr, short_side_svd,
                          singular_values, spmv, spmv_t, top_singular_pair, unvec,
                          vec)
@@ -199,6 +199,91 @@ def test_short_side_is_a_view_inside_the_window(rng, exponent, shape):
     assert np.linalg.norm((a @ res.v - res.sigma * res.u) / top) <= 1e-12
     assert np.linalg.norm((a.T @ res.u - res.sigma * res.v) / top) <= 1e-12
     np.testing.assert_array_equal(a, kept)
+
+
+def _assert_every_short_side_route(a, name):
+    # short_side_svd, singular_values, top_singular_pair and svt against the
+    # dense SVD, relative to sigma_max so that huge entries do not overflow
+    _assert_short_side_svd(a, name)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    top = s[0]
+    res = top_singular_pair(a)
+    assert abs(res.sigma - top) <= 1e-12 * top, name
+    assert np.linalg.norm((a @ res.v - res.sigma * res.u) / top) <= 1e-12, name
+    assert np.linalg.norm((a.T @ res.u - res.sigma * res.v) / top) <= 1e-12, name
+    tau = 0.3 * top
+    want = (u * (np.maximum(s - tau, 0.0) / top)) @ vt
+    np.testing.assert_allclose(baseline.svt(a, tau) / top, want, rtol=0, atol=1e-12,
+                               err_msg=name)
+
+
+@pytest.mark.parametrize("exponent", [-102, -101, -100, -99, 99, 100, 101, 102])
+@pytest.mark.parametrize("shape", [(7, 19), (19, 7), (12, 400), (400, 12), (36, 676)])
+def test_the_gram_window_decides_as_the_peak_scan(rng, exponent, shape):
+    # peaks p in [2^exponent, 2^(exponent + 1)): graded below, flat at the
+    # bottom or the top of that range (a diagonal of N p^2), or one spike
+    # over entries near 2^-30 p (a diagonal of about p^2), so that both
+    # ends of the diagonal's slack are met.  The Gram's diagonal keeps s
+    # and its scale exactly as _short_side's peak scan does.
+    graded = _with_spectrum(rng, *shape, np.logspace(0.0, -6.0, min(shape)))
+    graded = np.ldexp(graded, exponent + 1 - int(np.frexp(np.abs(graded).max())[1]))
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    spike = np.ldexp(rng.uniform(-1.0, 1.0, shape), exponent - 30)
+    spike[0, 0] = np.ldexp(1.0, exponent)
+    kinds = {"graded": graded, "flat": np.ldexp(signs, exponent),
+             "flat top": np.ldexp(1.999 * signs, exponent), "spike": spike}
+    for kind, a in kinds.items():
+        name = f"{kind} 2^{exponent}, {shape}"
+        assert int(np.frexp(np.abs(a).max())[1]) - 1 == exponent, name
+        kept = a.copy()
+        want_s, want_scale, want_left = _short_side(a, "test")
+        s, gram, scale, left = linalg._short_side_gram(a, "test")
+        assert (scale, left) == (want_scale, want_left), name
+        assert (scale == 1.0) == (abs(exponent) <= 100) == np.shares_memory(s, a), name
+        np.testing.assert_array_equal(s, want_s, err_msg=name)
+        np.testing.assert_array_equal(gram, want_s @ want_s.T, err_msg=name)
+        _assert_every_short_side_route(a, name)
+        np.testing.assert_array_equal(a, kept, err_msg=name)
+
+
+def test_the_gram_window_takes_no_peak_scan_inside(rng, monkeypatch):
+    # a diagonal well inside the window decides alone; _short_side is only
+    # the fallback
+    scans = []
+    monkeypatch.setattr(linalg, "_short_side",
+                        lambda a, name: scans.append(name) or _short_side(a, name))
+    for shape in ((12, 16), (36, 676), (676, 36)):
+        a = rng.standard_normal(shape)
+        short_side_svd(a)
+        top_singular_pair(a)
+        singular_values(a)
+        baseline.svt(a, 0.1)
+    assert scans == ["singular_values"]  # 12 x 16 takes its dgesdd route
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6), (36, 676), (676, 36)])
+def test_an_overflowing_gram_is_rescaled_without_a_warning(rng, shape, recwarn):
+    # entries of 1e200 are finite, but their Gram overflows to inf
+    a = 1e200 * rng.standard_normal(shape)
+    s, gram, scale, _ = linalg._short_side_gram(a, "test")
+    assert scale != 1.0 and np.all(np.isfinite(gram))
+    _assert_every_short_side_route(a, f"1e200 {shape}")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (36, 676), (676, 36)])
+def test_nonfinite_entries_raise_without_a_warning(rng, bad, shape, recwarn):
+    # an inf turns Gram entries NaN (inf - inf), a NaN the diagonal NaN
+    a = rng.standard_normal(shape)
+    a[1, 2] = bad
+    a[2, 1] = -bad
+    routes = (short_side_svd, singular_values, top_singular_pair,
+              lambda x: baseline.svt(x, 0.1))
+    for route in routes:
+        with pytest.raises(ValueError):
+            route(a)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,25 +569,32 @@ def test_top_singular_pair_is_the_wrapped_subset_eigh(rng):
         np.testing.assert_array_equal(res.v, v, err_msg=name)
 
 
-def _wrapped_gram_svd(s, floor=None):
-    # _gram_svd with the eigenvectors from numpy's eigh, reversed as a view
-    u = np.linalg.eigh(s @ s.T)[1][:, ::-1]
-    w = u.T @ s
-    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
+def _wrapped_gram_svd(s, gram, floor=None):
+    # _gram_svd with the eigenpairs from numpy's eigh, reversed: the head's
+    # sigma from the eigenvalues, w = u^T s only for the tail
+    values, u = np.linalg.eigh(gram)
+    values, u = values[::-1], np.ascontiguousarray(u[:, ::-1])
+    cut = int(np.count_nonzero(values >= 1e-6 * values[0]))
+    sigma = np.sqrt(np.maximum(values, 0.0))  # the tail is overwritten
+    if cut == sigma.size:
+        return u, sigma
+    w = u[:, cut:].T @ s
+    sigma[cut:] = np.sqrt(np.einsum("ij,ij->i", w, w))
     floor = np.finfo(float).eps * sigma.max() if floor is None else floor
-    cut = int(np.count_nonzero(sigma >= 1e-3 * sigma.max()))
-    if cut < sigma.size and sigma[cut:].max() > floor:
-        u_tail, sigma[cut:], w[cut:] = _wrapped_gram_svd(w[cut:], floor)
+    if sigma[cut:].max() > floor:
+        u_tail, sigma[cut:] = _wrapped_gram_svd(w, w @ w.T, floor)
         u[:, cut:] = u[:, cut:] @ u_tail
-    return u, sigma, w
+    if np.any(sigma[1:] > sigma[:-1]):
+        order = np.argsort(sigma)[::-1]
+        u, sigma = u[:, order], sigma[order]
+    return u, sigma
 
 
-def _assert_gram_svd_is_numpys(s, floor, name):
+def _assert_gram_svd_is_numpys(s, gram, floor, name):
     # the direct dsyevd's values and vectors are numpy's eigh's; the kernel's
     # reversed vectors are C-contiguous, so u^T s takes numpy's BLAS path
-    # (a strided u changes its last bits), and u, sigma and w are the numpy
+    # (a strided u changes its last bits), and u and sigma are the numpy
     # route's bit for bit
-    gram = s @ s.T
     k = gram.shape[0]
     values, vectors = np.linalg.eigh(gram)
     if k <= GRAM_EIGH_DIRECT_MAX_SIDE:
@@ -511,11 +603,12 @@ def _assert_gram_svd_is_numpys(s, floor, name):
         assert info == 0, name
         np.testing.assert_array_equal(w, values, err_msg=name)
         np.testing.assert_array_equal(v, vectors, err_msg=name)
-    u = _gram_eigenvectors(gram)
+    lam, u = _gram_eigh(gram)
     assert u.flags.c_contiguous, name
+    np.testing.assert_array_equal(lam, values[::-1], err_msg=name)
     np.testing.assert_array_equal(u, vectors[:, ::-1], err_msg=name)
     np.testing.assert_array_equal(u.T @ s, vectors[:, ::-1].T @ s, err_msg=name)
-    for got, want in zip(_gram_svd(s, floor), _wrapped_gram_svd(s, floor)):
+    for got, want in zip(_gram_svd(s, gram, floor), _wrapped_gram_svd(s, gram, floor)):
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
@@ -523,9 +616,10 @@ def test_gram_svd_is_numpys_eigh_route_on_random_grams(rng):
     # every short side up to the direct bound, full rank and of rank 3
     # (whose rows past the third recur), and two sides above it
     for k in list(range(1, GRAM_EIGH_DIRECT_MAX_SIDE + 1)) + [65, 100]:
-        _assert_gram_svd_is_numpys(rng.standard_normal((k, k + 7)), None, f"k={k}")
+        full = rng.standard_normal((k, k + 7))
+        _assert_gram_svd_is_numpys(full, full @ full.T, None, f"k={k}")
         low = rng.standard_normal((k, 3)) @ rng.standard_normal((3, k + 7))
-        _assert_gram_svd_is_numpys(low, None, f"rank 3, k={k}")
+        _assert_gram_svd_is_numpys(low, low @ low.T, None, f"rank 3, k={k}")
 
 
 def test_gram_svd_is_numpys_eigh_route_on_apg_31_grams(monkeypatch):
@@ -533,9 +627,9 @@ def test_gram_svd_is_numpys_eigh_route_on_apg_31_grams(monkeypatch):
     # 300 iterations), recursion tails included
     calls = []
 
-    def spied(s, floor=None):
-        calls.append((s.copy(), floor))
-        return gram_svd(s, floor)
+    def spied(s, gram, floor=None):
+        calls.append((s.copy(), gram.copy(), floor))
+        return gram_svd(s, gram, floor)
 
     gram_svd = linalg._gram_svd
     monkeypatch.setattr(linalg, "_gram_svd", spied)
@@ -545,10 +639,10 @@ def test_gram_svd_is_numpys_eigh_route_on_apg_31_grams(monkeypatch):
         prob = apps.scs_problem(cfg, apps.scs_generate(cfg), mu=0.1, lam=1.0)
         baseline.solve_apg(prob, baseline.ApgConfig.oracle(300))
     monkeypatch.undo()
-    tails = {s.shape[0] for s, floor in calls if floor is not None}
+    tails = {s.shape[0] for s, gram, floor in calls if floor is not None}
     assert len(calls) > 900 and tails and max(tails) < 36
-    for i, (s, floor) in enumerate(calls):
-        _assert_gram_svd_is_numpys(s, floor, f"call {i}, k={s.shape[0]}")
+    for i, (s, gram, floor) in enumerate(calls):
+        _assert_gram_svd_is_numpys(s, gram, floor, f"call {i}, k={s.shape[0]}")
 
 
 def test_gram_svd_takes_dsyevd_up_to_its_bound(rng, monkeypatch):
