@@ -14,12 +14,17 @@ by linearity, so an iteration makes three sparse products (AC, AC^T and B's
 Gram).  The momentum restarts whenever phi rises (O'Donoghue & Candes,
 Found. Comput. Math. 2015): FISTA's extrapolation overshoots near the
 optimum, and the row's phi, already computed, decides the restart by one
-comparison.  With a long iteration budget it doubles as the reference
-optimum for tests.
+comparison.  The tol_x test reads a lower bound on the step from the
+singular values the threshold returns (Mirsky, Q. J. Math. 1960): the
+distance between two iterates' shrunk values, less a margin for the
+threshold's rounding, forms no step array.  Only a step whose bound does
+not clear tol_x, and the first step of a solve, take the exact norm.  With
+a long iteration budget it doubles as the reference optimum for tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,12 @@ class ApgConfig(SolverConfig):
         (its relative change is then 0), and tol_x when the step is 0, so a
         run that reaches its floating-point fixed point ends there, before
         ``max_iter``.
+
+        A known limit: where phi repeats bit for bit, phi no longer resolves
+        the steps, and a stage that ends on tol_obj has its iterate fixed
+        only to about 1e-9.  Its end moves with rounding: a change that
+        moves phi only at rounding has moved such stage ends by 1 to 12
+        steps, and a later stage's warm start with them.
         """
         return cls(max_iter=max_iter, tol_x=1e-300, tol_obj=1e-300, **kw)
 
@@ -96,6 +107,22 @@ def _svt_with_values(x, tau):
     return (out.T if left else out), shrunk
 
 
+# The step test's margin: each vector of shrunk values _svt_with_values
+# returns is taken to lie within VALUES_MARGIN * sqrt(MN) * sigma_top(z) of
+# the singular values of the iterate it returns (2-norm), with sigma_top(z)
+# <= shrunk[0] + tau.  The SVT tests pin the result and the values to
+# 1e-12 sigma_max per entry, which puts them within (sqrt(MN) + sqrt(k))
+# 1e-12 sigma_max in the 2-norm; the margin is 1,000 times that bound's
+# first term.
+VALUES_MARGIN = 1e-9
+
+
+def _step_norm(x_new, x_prev, out):
+    # |x_new - x_prev|_F, the difference written into out
+    np.subtract(x_new, x_prev, out=out)
+    return float(np.linalg.norm(out))
+
+
 def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     """Restarted FISTA on f + mu * nuclear norm; returns (dense X, trace).
 
@@ -114,6 +141,15 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     1/L, L >= lambda_max of the Hessian, does not raise phi.  The rule costs
     one comparison of values the trace computes anyway: no product and no
     evaluation.
+
+    Step test: Mirsky's inequality gives |x_k - x_{k-1}|_F >= |sigma(x_k) -
+    sigma(x_{k-1})|_2, and the threshold returns sigma(x_k) as its shrunk
+    values s_k, each vector within its margin delta_k = ``VALUES_MARGIN``
+    sqrt(MN) (s_k[0] + tau) of the exact ones.  So lb = |s_k - s_{k-1}|_2 -
+    delta_k - delta_{k-1} bounds the step from below, and where lb > tol_x
+    the step cannot be below tol_x: ``stop_reason`` gets lb, and answers as
+    the exact norm would.  Otherwise, and on the first step (x_0 is
+    ``init``, no threshold output), the step is formed and its norm taken.
 
     Rows go through the conditional-gradient ``SolveTrace.append``; here psi
     equals phi, theta is 0, sigma_top is the iterate's largest singular
@@ -139,12 +175,13 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
         raise ValueError("initializer shape does not match the problem")
     # x_pen = x - step lam q, x moved by the penalty part of its gradient
     # step, extrapolates like x and q, so z = y - step grad f(y) is the
-    # extrapolated x_pen less step AC^T r_y.  z, the two x_pen iterates
-    # (swapped each step) and the step x_new - x_prev are written into
-    # fixed F-order buffers, the layout vec reads as a view; every value is
-    # the same arithmetic as on fresh arrays.
-    z, x_pen, x_pen_prev, step_x = (np.empty_like(x_prev, order="F")
-                                    for _ in range(4))
+    # extrapolated x_pen less step AC^T r_y.  z and the two x_pen iterates
+    # (swapped each step) are written into fixed F-order buffers, the layout
+    # vec reads as a view; every value is the same arithmetic as on fresh
+    # arrays.  z is dead after the threshold, so a step whose exact norm is
+    # needed is formed in it.
+    z, x_pen, x_pen_prev = (np.empty_like(x_prev, order="F") for _ in range(3))
+    margin_per_sigma = VALUES_MARGIN * math.sqrt(prob.size)
 
     def penalty_step(x, gram_x, out):
         np.multiply(unvec(gram_x, prob.rows, prob.cols), step * prob.lam, out=out)
@@ -157,6 +194,7 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
     beta = 0.0
     t_mom = 1.0
     phi_prev = None
+    s_prev, margin_prev = None, 0.0  # x_0 is no threshold output: exact norm
 
     for k in range(1, config.max_iter + 1):
         resid_y = resid + beta * (resid - resid_prev)
@@ -168,24 +206,32 @@ def solve_apg(prob: PenaltyProblem, config: ApgConfig | None = None, init=None):
             x_new, s_vals = _svt_with_values(z, tau)
         except ValueError as exc:  # the prox rejects a non-finite gradient step
             raise trace.diverged(f"non-finite gradient step at iteration {k}") from exc
-        np.subtract(x_new, x_prev, out=step_x)
 
         x = vec(x_new)
         resid_prev, x_pen_prev, x_pen = resid, x_pen, x_pen_prev
         resid, gram_x = affine_terms(prob, x)
         penalty_step(x_new, gram_x, x_pen)
+        sigma_top = float(s_vals[0]) if s_vals.size else 0.0
         phi = trace.append(prob, smooth_terms_from(prob, x, resid, gram_x),
-                           float(s_vals.sum()), theta=0.0,
-                           sigma_top=float(s_vals[0]) if s_vals.size else 0.0,
+                           float(s_vals.sum()), theta=0.0, sigma_top=sigma_top,
                            rank=-1,  # not read; the final row's is set after the loop
-                           factor_rank=int(np.sum(s_vals > 0.0)))
+                           factor_rank=int(np.count_nonzero(s_vals)))
         if phi_prev is not None and phi > phi_prev:
             t_mom = 1.0  # restart: beta = 0, the next step is a prox step from x_k
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         beta = (t_mom - 1.0) / t_new
-        dx = float(np.linalg.norm(step_x))
+        # Mirsky: |x_new - x_prev|_F >= |sigma(x_new) - sigma(x_prev)|_2, and
+        # each shrunk vector is within its margin of its iterate's sigma
+        margin = margin_per_sigma * (sigma_top + tau)
+        dx = -math.inf
+        if s_prev is not None:
+            diff = s_vals - s_prev
+            dx = math.sqrt(float(diff @ diff)) - margin - margin_prev
+        if not dx > config.tol_x:  # only a bound above tol_x stands for the step
+            dx = _step_norm(x_new, x_prev, z)
         reason = config.stop_reason(dx, phi, phi_prev)  # no tol_obj at k = 1
         x_prev, t_mom, phi_prev = x_new, t_new, phi
+        s_prev, margin_prev = s_vals, margin
         if trace.stop(reason):
             break
 

@@ -92,7 +92,9 @@ class SolverConfig:
         """Why to stop after a step of size dx that took phi_prev to phi.
 
         "tol_x" is tested before "tol_obj"; "" means go on.  With no
-        previous phi (None) only tol_x can fire.
+        previous phi (None) only tol_x can fire.  dx may be a certified
+        lower bound on the step that lies above tol_x (``solve_apg``): the
+        answer is then the one the exact step gives.
         """
         if dx < self.tol_x:
             return "tol_x"

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from slrm import apps, baseline, cli, objective
 from slrm.baseline import (ApgConfig, _svt_with_values, lipschitz_estimate,
                            solve_apg, solve_apg_homotopy, svt)
-from slrm.gcg import DivergedError, GcgConfig, solve, structured_rank
+from slrm.gcg import (DivergedError, GcgConfig, SolveTrace, _continuation, solve,
+                      structured_rank)
 from slrm.linalg import SparseMatrix, spmv, spmv_t, unvec, vec
-from slrm.objective import _grad_from, _hess_vec, affine_terms, assemble, smooth_terms
+from slrm.objective import (_grad_from, _hess_vec, affine_terms, assemble,
+                            smooth_terms, smooth_terms_from)
 from slrm.structure import hankel_spec
 
 from conftest import (assorted_specs, dense_smooth_terms, observed_problems,
@@ -244,10 +247,11 @@ class _NumpyWrites:
 
 @pytest.mark.parametrize("lam", [0.0, 1.3])
 def test_apg_buffers_share_no_memory_with_its_results(rng, monkeypatch, lam):
-    # solve_apg writes z, the x_pen pair and the step into buffers it
-    # reuses every iteration: init is never written, and the returned
-    # iterate and warm start share no memory with any array the loop writes,
-    # so a second solve of the same problem leaves them as they were
+    # solve_apg writes z and the x_pen pair into three buffers it reuses
+    # every iteration (a step whose exact norm is needed is formed in z):
+    # init is never written, and the returned iterate and warm start share
+    # no memory with any array the loop writes, so a second solve of the
+    # same problem leaves them as they were
     spy = _NumpyWrites()
     monkeypatch.setattr(baseline, "np", spy)
     for name, prob in observed_problems(rng, lam):
@@ -257,6 +261,7 @@ def test_apg_buffers_share_no_memory_with_its_results(rng, monkeypatch, lam):
         x, trace = solve_apg(prob, ApgConfig(max_iter=30), init=init)
         written = [a for a in spy.written if isinstance(a, np.ndarray)]
         assert sum(a.shape == init.shape for a in written) >= 4, name
+        assert len({id(a) for a in written if a.shape == init.shape}) == 3, name
         for a in written:
             for got in (x, trace.warm_start, init):
                 assert not np.shares_memory(got, a), name
@@ -506,3 +511,209 @@ def test_an_oracle_stage_stops_on_tol_obj_when_phi_repeats(rng):
                 stopped += 1
                 assert trace.records[-1].phi == trace.records[-2].phi, name
     assert stopped > 0
+
+
+def _exact_step_apg(prob, config, init=None, steps=None):
+    # solve_apg as it was before its step test read the singular values:
+    # the same arithmetic on the same F-order buffers, and stop_reason given
+    # the exact |x_k - x_{k-1}|_F on every step (appended to steps)
+    trace = SolveTrace()
+    lip = lipschitz_estimate(prob)
+    step = 1.0 / lip if lip > 0.0 else 1.0
+    tau = prob.mu * step
+    x_prev = np.ones((prob.rows, prob.cols)) if init is None else init
+    z, x_pen, x_pen_prev, step_x = (np.empty_like(x_prev, order="F") for _ in range(4))
+
+    def penalty_step(x, gram_x, out):
+        np.multiply(unvec(gram_x, prob.rows, prob.cols), step * prob.lam, out=out)
+        np.subtract(x, out, out=out)
+
+    resid, gram_x = affine_terms(prob, vec(x_prev))
+    penalty_step(x_prev, gram_x, x_pen)
+    x_pen_prev[...] = x_pen
+    resid_prev, beta, t_mom, phi_prev = resid, 0.0, 1.0, None
+    for _ in range(config.max_iter):
+        resid_y = resid + beta * (resid - resid_prev)
+        np.subtract(x_pen, x_pen_prev, out=z)
+        z *= beta
+        z += x_pen
+        z -= unvec(spmv_t(prob.AC, step * resid_y), prob.rows, prob.cols)
+        x_new, s_vals = _svt_with_values(z, tau)
+        x = vec(x_new)
+        resid_prev, x_pen_prev, x_pen = resid, x_pen, x_pen_prev
+        resid, gram_x = affine_terms(prob, x)
+        penalty_step(x_new, gram_x, x_pen)
+        phi = trace.append(prob, smooth_terms_from(prob, x, resid, gram_x),
+                           float(s_vals.sum()), theta=0.0, sigma_top=float(s_vals[0]),
+                           rank=-1, factor_rank=int(np.sum(s_vals > 0.0)))
+        if phi_prev is not None and phi > phi_prev:
+            t_mom = 1.0
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        beta = (t_mom - 1.0) / t_new
+        np.subtract(x_new, x_prev, out=step_x)
+        dx = float(np.linalg.norm(step_x))
+        if steps is not None:
+            steps.append(dx)
+        reason = config.stop_reason(dx, phi, phi_prev)
+        x_prev, t_mom, phi_prev = x_new, t_new, phi
+        if trace.stop(reason):
+            break
+    trace.records[-1].rank = structured_rank(prob, vec(x_prev))
+    trace.warm_start = x_prev
+    trace.finish()
+    return x_prev, trace
+
+
+def _spy_stop_steps(monkeypatch):
+    # every dx solve_apg hands to stop_reason, in order
+    steps = []
+    stop_reason = ApgConfig.stop_reason
+
+    def spy(self, dx, phi, phi_prev):
+        steps.append(dx)
+        return stop_reason(self, dx, phi, phi_prev)
+
+    monkeypatch.setattr(ApgConfig, "stop_reason", spy)
+    return steps
+
+
+def _rows(trace):
+    return [{k: v for k, v in asdict(r).items() if k != "time_s"}
+            for r in trace.records]
+
+
+def _assert_same_run(got, want, dxs, exact, tol_x, name):
+    # the same iterates, rows and stop reason; each dx stop_reason received
+    # is the exact step, or a lower bound on it that lies above tol_x
+    (x, trace), (x_ref, ref) = got, want
+    np.testing.assert_array_equal(x, x_ref, err_msg=name)
+    np.testing.assert_array_equal(trace.warm_start, ref.warm_start, err_msg=name)
+    assert _rows(trace) == _rows(ref), name
+    assert trace.converged_reason == ref.converged_reason, name
+    assert len(dxs) == len(exact), name
+    for k, (dx, ex) in enumerate(zip(dxs, exact), 1):
+        assert dx == ex or tol_x < dx <= ex, f"{name}, step {k}: {dx} vs {ex}"
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_apg_stops_as_the_exact_step_loop_does(rng, monkeypatch, lam):
+    # at ApgConfig(), and at a tol_x set to the median exact step of a first
+    # run, so that steps fall on both sides of it
+    bounded = fallbacks = 0
+    for name, prob in observed_problems(rng, lam):
+        first = []
+        _exact_step_apg(prob, ApgConfig.oracle(60), steps=first)
+        median = replace(ApgConfig.oracle(60), tol_x=float(np.median(first)))
+        for cfg in (ApgConfig(), median):
+            exact = []
+            want = _exact_step_apg(prob, cfg, steps=exact)
+            dxs = _spy_stop_steps(monkeypatch)
+            got = solve_apg(prob, cfg)
+            monkeypatch.undo()
+            _assert_same_run(got, want, dxs, exact, cfg.tol_x, name)
+            bounded += sum(dx < ex for dx, ex in zip(dxs, exact))
+            fallbacks += sum(dx == ex for dx, ex in zip(dxs[1:], exact[1:]))
+    assert bounded > 0 and fallbacks > 0
+
+
+def test_apg_homotopy_stops_as_the_exact_step_loop_does(rng, monkeypatch):
+    # each warm-started stage's first step takes the exact norm again
+    prob = random_hankel_problem(rng, j=4, k=5, lam=1.0, mu=0.2)
+    cfg = ApgConfig(max_iter=80, lam_growth=10.0, lam_max=100.0)
+    exact = []
+    want = _continuation(partial(_exact_step_apg, steps=exact), prob, cfg, None)
+    dxs = _spy_stop_steps(monkeypatch)
+    got = solve_apg_homotopy(prob, cfg)
+    _assert_same_run(got, want, dxs, exact, cfg.tol_x, "homotopy")
+
+
+def test_apg_31_stops_as_the_exact_step_loop_does(monkeypatch):
+    name, prob = _scs_31_apg_problem()
+    cfg = ApgConfig.oracle(300)
+    exact = []
+    want = _exact_step_apg(prob, cfg, steps=exact)
+    dxs = _spy_stop_steps(monkeypatch)
+    got = solve_apg(prob, cfg)
+    _assert_same_run(got, want, dxs, exact, cfg.tol_x, name)
+    assert len(dxs) == 300
+
+
+def _step_bound(a, b, tau_a, tau_b, size):
+    # |s_a - s_b|_2 less both margins: solve_apg's lower bound on |X_a - X_b|_F
+    (_, s_a), (_, s_b) = a, b
+    margin = baseline.VALUES_MARGIN * np.sqrt(size)
+    return (np.linalg.norm(s_a - s_b) - margin * (s_a[0] + tau_a)
+            - margin * (s_b[0] + tau_b))
+
+
+def _graded(rng, shape, rank=None, decades=8.0):
+    # a random matrix with singular values graded over `decades` decades
+    k = min(shape) if rank is None else rank
+    u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+    return (u * np.logspace(0.0, -decades, k)) @ v.T
+
+
+@pytest.mark.parametrize("exponent", [0, 150, -150])
+def test_the_shrunk_values_bound_the_step_from_below(rng, exponent):
+    # pairs of thresholds a scaling or a random perturbation apart, graded
+    # full-rank spectra and low-rank inputs (the tail route), rescaled by
+    # 2^exponent; a scaling by 1 + eps moves X by exactly |s_a - s_b|
+    scale = 2.0 ** exponent
+    cases = {f"graded {shape}": _graded(rng, shape)
+             for shape in ((36, 676), (676, 36), (12, 16), (7, 19))}
+    cases.update({f"rank {r} {shape}": _graded(rng, shape, rank=r, decades=1.0)
+                  for shape, r in (((12, 16), 2), ((36, 676), 3), ((19, 7), 1))})
+    positive = 0
+    for name, z in cases.items():
+        z = z * scale
+        for tau_share in (0.0, 1e-3, 0.3):
+            tau = tau_share * scale
+            a = _svt_with_values(z, tau)
+            for eps in (1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12):
+                noise = rng.standard_normal(z.shape)
+                noise *= eps * np.linalg.norm(z) / np.linalg.norm(noise)
+                for z_b in (z * (1.0 + eps), z + noise):
+                    b = _svt_with_values(z_b, tau)
+                    bound = _step_bound(a, b, tau, tau, z.size)
+                    step = np.linalg.norm(a[0] - b[0])
+                    assert bound <= step, f"{name}, tau {tau_share}, eps {eps}"
+                    positive += bound > 0.0
+    assert positive > 0
+
+
+def test_the_shrunk_values_bound_apg_31_steps_from_below(monkeypatch):
+    # consecutive thresholds of the apg-31 instance, 300 iterations
+    outs = []
+
+    def spy(z, tau):
+        out = _svt_with_values(z, tau)
+        outs.append((out[0].copy(), out[1].copy()))
+        return out
+
+    monkeypatch.setattr(baseline, "_svt_with_values", spy)
+    _, prob = _scs_31_apg_problem()
+    solve_apg(prob, ApgConfig.oracle(300))
+    tau = prob.mu / lipschitz_estimate(prob)
+    for k in range(1, len(outs)):
+        bound = _step_bound(outs[k], outs[k - 1], tau, tau, prob.size)
+        step = np.linalg.norm(outs[k][0] - outs[k - 1][0])
+        assert 0.0 < bound <= step, f"step {k + 1}"
+
+
+def test_apg_31_forms_the_exact_step_once_per_solve(monkeypatch):
+    # only the first step, from x_0 (no threshold output), is formed: every
+    # later bound clears the oracle's tol_x
+    calls = []
+    step_norm = baseline._step_norm
+
+    def spy(x_new, x_prev, out):
+        calls.append(x_prev)
+        return step_norm(x_new, x_prev, out)
+
+    monkeypatch.setattr(baseline, "_step_norm", spy)
+    _, prob = _scs_31_apg_problem()
+    init = np.ones((prob.rows, prob.cols))
+    _, trace = solve_apg(prob, ApgConfig.oracle(300), init=init)
+    assert len(trace.records) == 300
+    assert len(calls) == 1 and calls[0] is init
