@@ -513,10 +513,10 @@ def test_an_oracle_stage_stops_on_tol_obj_when_phi_repeats(rng):
     assert stopped > 0
 
 
-def _exact_step_apg(prob, config, init=None, steps=None):
-    # solve_apg as it was before its step test read the singular values:
-    # the same arithmetic on the same F-order buffers, and stop_reason given
-    # the exact |x_k - x_{k-1}|_F on every step (appended to steps)
+def _exact_step_apg(prob, config, init=None, *, steps):
+    # solve_apg's loop with no step bound: the same arithmetic on the same
+    # F-order buffers, and stop_reason given the exact |x_k - x_{k-1}|_F on
+    # every step (appended to steps)
     trace = SolveTrace()
     lip = lipschitz_estimate(prob)
     step = 1.0 / lip if lip > 0.0 else 1.0
@@ -551,10 +551,8 @@ def _exact_step_apg(prob, config, init=None, steps=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         beta = (t_mom - 1.0) / t_new
         np.subtract(x_new, x_prev, out=step_x)
-        dx = float(np.linalg.norm(step_x))
-        if steps is not None:
-            steps.append(dx)
-        reason = config.stop_reason(dx, phi, phi_prev)
+        steps.append(float(np.linalg.norm(step_x)))
+        reason = config.stop_reason(steps[-1], phi, phi_prev)
         x_prev, t_mom, phi_prev = x_new, t_new, phi
         if trace.stop(reason):
             break
